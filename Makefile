@@ -4,9 +4,11 @@
 
 GO ?= go
 
-# The packages the observability Recorder/Registry reach; `make race` runs
-# just these under the race detector for a fast concurrency gate.
-RACE_PKGS = ./internal/core/ ./internal/mpi/ ./internal/rtfab/ ./internal/shmfab/ ./internal/stats/ ./internal/trace/ ./internal/traffic/
+# The packages the observability Recorder/Registry and the real-time
+# fabric's driver goroutines reach (the shared verbs CQ and receive queue run
+# on them); `make race` runs just these under the race detector for a fast
+# concurrency gate.
+RACE_PKGS = ./internal/core/ ./internal/ib/ ./internal/mpi/ ./internal/rtfab/ ./internal/stats/ ./internal/trace/ ./internal/traffic/ ./internal/verbs/
 
 .PHONY: check fmt vet build test race conformance fault-soak bench bench-backends tune tune-guard doclint par par-guard compile compile-guard qos soak soak-guard scale scale-guard zoo zoo-guard perf perf-guard
 

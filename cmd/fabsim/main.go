@@ -4,6 +4,7 @@
 // the paper's figures are judged against.
 //
 //	go run ./cmd/fabsim                # deterministic simulator (virtual time)
+//	go run ./cmd/fabsim -backend shm   # the simulator's shared-memory transport
 //	go run ./cmd/fabsim -backend rt    # real-time concurrent fabric (wall time)
 //
 // With -fault-soak it instead drives every transfer scheme end to end under
@@ -40,7 +41,6 @@ import (
 	"repro/internal/pack"
 	"repro/internal/qos"
 	"repro/internal/rtfab"
-	"repro/internal/shmfab"
 	"repro/internal/simtime"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -50,7 +50,7 @@ import (
 )
 
 var (
-	backend   = flag.String("backend", "sim", `fabric backend: "sim" (deterministic), "rt" (real-time concurrent), or "shm" (shared-memory intra-node)`)
+	backend   = flag.String("backend", "sim", `fabric backend: "sim" (deterministic), "rt" (real-time concurrent), or "shm" (the simulator's shared-memory intra-node transport)`)
 	faultSoak = flag.Bool("fault-soak", false, "run a fault-injected pass over every transfer scheme")
 	seed      = flag.Int64("seed", 1, "fault injector seed")
 	msgs      = flag.Int("msgs", 4, "messages per scheme in the fault soak")
@@ -122,8 +122,8 @@ func main() {
 	fmt.Println("# raw RDMA write/read completion latency and effective bandwidth")
 	fmt.Printf("%10s %14s %14s %14s\n", "bytes", "write (us)", "read (us)", "write MB/s")
 	for _, size := range []int64{256, 4 << 10, 64 << 10, 512 << 10, 4 << 20} {
-		w := oneOp(model, ib.OpRDMAWrite, size, 1)
-		r := oneOp(model, ib.OpRDMARead, size, 1)
+		w := oneOp(model, false, ib.OpRDMAWrite, size, 1)
+		r := oneOp(model, false, ib.OpRDMARead, size, 1)
 		mbps := float64(size) / (1 << 20) / w.Seconds()
 		fmt.Printf("%10d %14.2f %14.2f %14.1f\n", size, w.Micros(), r.Micros(), mbps)
 	}
@@ -131,7 +131,7 @@ func main() {
 	fmt.Println("\n# gather write: one descriptor, varying SGE count (64 KB total)")
 	fmt.Printf("%6s %14s\n", "SGEs", "latency (us)")
 	for _, n := range []int{1, 4, 16, 64} {
-		d := oneOp(model, ib.OpRDMAWrite, 64<<10, n)
+		d := oneOp(model, false, ib.OpRDMAWrite, 64<<10, n)
 		fmt.Printf("%6d %14.2f\n", n, d.Micros())
 	}
 	flushTrace()
@@ -207,12 +207,12 @@ func runQoSSoak() error {
 	return nil
 }
 
-// runSHMSweep is the raw RDMA sweep on the shared-memory backend: the same
-// write/read and gather measurements as the simulator path, in deterministic
-// virtual time under the zero-link cost profile. With no responder
-// turnaround, write and read columns coincide.
+// runSHMSweep is the raw RDMA sweep on the simulator's shared-memory
+// transport: the same write/read and gather measurements as the wire path,
+// in deterministic virtual time under the zero-link cost profile. With no
+// responder turnaround, write and read columns coincide.
 func runSHMSweep() {
-	model := shmfab.DefaultModel()
+	model := ib.DefaultSharedModel()
 	fmt.Println("# shared-memory cost model (DESIGN.md section 15)")
 	fmt.Printf("copy bandwidth      %.2f GB/s (+%v per contiguous run)\n", model.CopyGBps, model.CopyBlockStartup)
 	fmt.Printf("descriptor post     %v (list entries %v, per SGE %v)\n", model.PostCost, model.ListPostEntry, model.SGEPost)
@@ -224,8 +224,8 @@ func runSHMSweep() {
 	fmt.Println("# raw copy-transfer completion latency and effective bandwidth")
 	fmt.Printf("%10s %14s %14s %14s\n", "bytes", "write (us)", "read (us)", "write MB/s")
 	for _, size := range []int64{256, 4 << 10, 64 << 10, 512 << 10, 4 << 20} {
-		w := shmOneOp(model, verbs.OpRDMAWrite, size, 1)
-		r := shmOneOp(model, verbs.OpRDMARead, size, 1)
+		w := oneOp(model, true, verbs.OpRDMAWrite, size, 1)
+		r := oneOp(model, true, verbs.OpRDMARead, size, 1)
 		mbps := float64(size) / (1 << 20) / w.Seconds()
 		fmt.Printf("%10d %14.2f %14.2f %14.1f\n", size, w.Micros(), r.Micros(), mbps)
 	}
@@ -233,57 +233,9 @@ func runSHMSweep() {
 	fmt.Println("\n# gather write: one descriptor, varying SGE count (64 KB total)")
 	fmt.Printf("%6s %14s\n", "SGEs", "latency (us)")
 	for _, n := range []int{1, 4, 16, 64} {
-		d := shmOneOp(model, verbs.OpRDMAWrite, 64<<10, n)
+		d := oneOp(model, true, verbs.OpRDMAWrite, 64<<10, n)
 		fmt.Printf("%6d %14.2f\n", n, d.Micros())
 	}
-}
-
-// shmOneOp measures the virtual completion time of one RDMA operation on a
-// two-partition shared-memory fabric.
-func shmOneOp(model verbs.Model, op verbs.Opcode, size int64, n int) simtime.Duration {
-	eng := simtime.NewEngine()
-	fab := shmfab.New(eng, model, 2, size*2+8<<20)
-	if tracer != nil {
-		tracer.SetPrefix(fmt.Sprintf("shm/%v-%dB-%dsge/", op, size, n))
-		fab.SetTracer(tracer)
-	}
-	na := fab.AddNode("a", nil)
-	nb := fab.AddNode("b", nil)
-	aSend, aRecv := na.NewCQ(), na.NewCQ()
-	bSend, bRecv := nb.NewCQ(), nb.NewCQ()
-	qa, _ := na.Connect(nb, aSend, aRecv, bSend, bRecv)
-
-	ma, mb := na.Mem(), nb.Mem()
-	per := size / int64(n)
-	sgl := make([]verbs.SGE, n)
-	for i := range sgl {
-		a := ma.MustAlloc(per)
-		reg, err := ma.Reg().Register(a, per)
-		if err != nil {
-			panic(err)
-		}
-		sgl[i] = verbs.SGE{Addr: a, Len: per, Key: reg.LKey}
-	}
-	remote := mb.MustAlloc(size)
-	rreg, err := mb.Reg().Register(remote, size)
-	if err != nil {
-		panic(err)
-	}
-
-	var done simtime.Time
-	aSend.SetHandler(func(e verbs.CQE) {
-		if e.Err != nil {
-			panic(e.Err)
-		}
-		done = eng.Now()
-	})
-	if err := qa.PostSend(verbs.SendWR{Op: op, SGL: sgl, RemoteAddr: remote, RKey: rreg.RKey}); err != nil {
-		panic(err)
-	}
-	if err := eng.Run(); err != nil {
-		panic(err)
-	}
-	return done.Sub(0)
 }
 
 // runRTSweep is the raw RDMA sweep on the real-time backend: the same
@@ -410,15 +362,14 @@ func runFaultSoak() bool {
 			rtf *rtfab.Fabric
 			fab *ib.Fabric
 		)
-		var shmf *shmfab.Fabric
 		switch *backend {
 		case "rt":
 			rtf = rtfab.New(ib.DefaultModel())
 			rtf.SetInjector(inj)
 		case "shm":
 			eng = simtime.NewEngine()
-			shmf = shmfab.New(eng, shmfab.DefaultModel(), 2, 64<<20)
-			shmf.SetInjector(inj)
+			fab = ib.NewSharedFabric(eng, ib.DefaultSharedModel(), 2, 64<<20)
+			fab.SetInjector(inj)
 		default:
 			eng = simtime.NewEngine()
 			fab = ib.NewFabric(eng, ib.DefaultModel())
@@ -434,8 +385,6 @@ func runFaultSoak() bool {
 			case rtf != nil:
 				rtf.SetTracer(tracer)
 				cfg.TraceClock = rtf.WallClock
-			case shmf != nil:
-				shmf.SetTracer(tracer)
 			default:
 				fab.SetTracer(tracer)
 			}
@@ -447,8 +396,8 @@ func runFaultSoak() bool {
 			switch {
 			case rtf != nil:
 				hcas[i] = rtf.AddNode(fmt.Sprintf("n%d", i), mem.NewMemory(fmt.Sprintf("n%d", i), 64<<20), nil)
-			case shmf != nil:
-				hcas[i] = shmf.AddNode(fmt.Sprintf("n%d", i), nil)
+			case fab.Arena() != nil:
+				hcas[i] = fab.AddHCA(fmt.Sprintf("n%d", i), nil, nil)
 			default:
 				hcas[i] = fab.AddHCA(fmt.Sprintf("n%d", i), mem.NewMemory(fmt.Sprintf("n%d", i), 64<<20), nil)
 			}
@@ -548,18 +497,28 @@ func runFaultSoak() bool {
 }
 
 // oneOp measures the virtual completion time of a single RDMA operation of
-// the given total size split across n scatter/gather entries.
-func oneOp(model ib.Model, op ib.Opcode, size int64, n int) simtime.Duration {
+// the given total size split across n scatter/gather entries, between two
+// nodes of a wire fabric or, when shared is set, two partitions of a shared
+// fabric.
+func oneOp(model ib.Model, shared bool, op ib.Opcode, size int64, n int) simtime.Duration {
 	eng := simtime.NewEngine()
-	fab := ib.NewFabric(eng, model)
+	nodeBytes := size*2 + 8<<20
+	var fab *ib.Fabric
+	var ma, mb *mem.Memory // nil on a shared fabric: the arena supplies them
+	prefix := "sim"
+	if shared {
+		fab, prefix = ib.NewSharedFabric(eng, model, 2, nodeBytes), "shm"
+	} else {
+		fab = ib.NewFabric(eng, model)
+		ma, mb = mem.NewMemory("a", nodeBytes), mem.NewMemory("b", nodeBytes)
+	}
 	if tracer != nil {
-		tracer.SetPrefix(fmt.Sprintf("sim/%v-%dB-%dsge/", op, size, n))
+		tracer.SetPrefix(fmt.Sprintf("%s/%v-%dB-%dsge/", prefix, op, size, n))
 		fab.SetTracer(tracer)
 	}
-	ma := mem.NewMemory("a", size*2+8<<20)
-	mb := mem.NewMemory("b", size*2+8<<20)
 	ha := fab.AddHCA("a", ma, nil)
 	hb := fab.AddHCA("b", mb, nil)
+	ma, mb = ha.Mem(), hb.Mem()
 	aSend, aRecv := ib.NewCQ(ha), ib.NewCQ(ha)
 	bSend, bRecv := ib.NewCQ(hb), ib.NewCQ(hb)
 	qa, _ := ib.Connect(ha, hb, aSend, aRecv, bSend, bRecv)

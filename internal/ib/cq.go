@@ -1,11 +1,6 @@
 package ib
 
-import (
-	"sync/atomic"
-
-	"repro/internal/simtime"
-	"repro/internal/verbs"
-)
+import "repro/internal/verbs"
 
 // Opcode, the opcode constants, and CQE alias the backend-neutral
 // definitions in internal/verbs.
@@ -23,65 +18,11 @@ const (
 // CQE is a completion queue entry.
 type CQE = verbs.CQE
 
-// CQ is a completion queue. A CQ either queues entries for polling
-// (Poll/WaitPoll) or dispatches them to a handler; protocol engines use the
-// handler form so completion processing charges the host CPU and serializes
+// CQ is a completion queue: the backend-neutral verbs.CompletionQueue. In
+// handler mode each entry is delivered in its own event after reserving
+// CompletionCost on the node's CPU, so completion processing serializes
 // with other host work.
-type CQ struct {
-	hca     *HCA
-	queue   []CQE
-	handler func(CQE)
-	sig     simtime.Signal
-}
+type CQ = verbs.CompletionQueue
 
 // NewCQ creates a completion queue on an HCA.
-func NewCQ(h *HCA) *CQ { return &CQ{hca: h} }
-
-// SetHandler switches the CQ to handler dispatch. Each entry is delivered in
-// its own event after reserving CompletionCost on the node's CPU. Must be set
-// before any completion arrives.
-func (cq *CQ) SetHandler(fn func(CQE)) {
-	if len(cq.queue) > 0 {
-		panic("ib: SetHandler on non-empty CQ")
-	}
-	cq.handler = fn
-}
-
-// push delivers a completion at the current virtual time.
-func (cq *CQ) push(e CQE) {
-	atomic.AddInt64(&cq.hca.counters.Completions, 1)
-	if cq.handler != nil {
-		eng := cq.hca.Engine()
-		end := cq.hca.ChargeCPUNamed(cq.hca.Model().CompletionCost, "cqe")
-		eng.At(end, func() { cq.handler(e) })
-		return
-	}
-	cq.queue = append(cq.queue, e)
-	cq.sig.Broadcast()
-}
-
-// Poll removes and returns the oldest completion, if any.
-func (cq *CQ) Poll() (CQE, bool) {
-	if len(cq.queue) == 0 {
-		return CQE{}, false
-	}
-	e := cq.queue[0]
-	cq.queue = cq.queue[1:]
-	return e, true
-}
-
-// WaitPoll blocks the process until a completion is available, then returns
-// it, charging the completion-handling CPU cost.
-func (cq *CQ) WaitPoll(p *simtime.Process) CQE {
-	for len(cq.queue) == 0 {
-		p.Wait(&cq.sig)
-	}
-	e := cq.queue[0]
-	cq.queue = cq.queue[1:]
-	end := cq.hca.ChargeCPU(cq.hca.Model().CompletionCost)
-	p.WaitUntil(end)
-	return e
-}
-
-// Len reports the number of queued completions (always 0 in handler mode).
-func (cq *CQ) Len() int { return len(cq.queue) }
+func NewCQ(h *HCA) *CQ { return verbs.NewCompletionQueue(h) }

@@ -1,8 +1,6 @@
 package ib
 
 import (
-	"fmt"
-
 	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/simtime"
@@ -11,12 +9,17 @@ import (
 	"repro/internal/verbs"
 )
 
-// Fabric is the switched interconnect: a full crossbar (like the paper's
-// InfiniScale switch) where the only contention points are each HCA's send
-// and receive ports.
+// Fabric is the simulated interconnect. A wire fabric (NewFabric) is a
+// switched full crossbar (like the paper's InfiniScale switch) where the
+// only contention points are each HCA's send and receive ports. A shared
+// fabric (NewSharedFabric) is one node's worth of ranks in one memory arena,
+// where the only contention point is each rank's CPU. The two differ only in
+// their transport: how a transfer is priced and when its ack arrives.
 type Fabric struct {
 	eng      *simtime.Engine
 	model    Model
+	tp       transport
+	arena    *mem.Arena // shared fabric only
 	hcas     []*HCA
 	tracer   *trace.Recorder
 	injector *fault.Injector
@@ -35,12 +38,13 @@ func (f *Fabric) SetInjector(in *fault.Injector) { f.injector = in }
 // Injector returns the attached fault injector, or nil.
 func (f *Fabric) Injector() *fault.Injector { return f.injector }
 
-// NewFabric creates a fabric on the given engine with the given cost model.
+// NewFabric creates a wire fabric on the given engine with the given cost
+// model.
 func NewFabric(eng *simtime.Engine, model Model) *Fabric {
 	if model.MaxSGE <= 0 {
 		model.MaxSGE = 1
 	}
-	return &Fabric{eng: eng, model: model}
+	return &Fabric{eng: eng, model: model, tp: wire{}}
 }
 
 // Engine returns the simulation engine.
@@ -51,7 +55,8 @@ func (f *Fabric) Model() *Model { return &f.model }
 
 // HCA is one node's host channel adapter together with the node-side
 // resources the simulation accounts for: the host CPU that runs the MPI
-// library, and the adapter's send and receive ports.
+// library, and the adapter's send and receive ports (which only the wire
+// transport occupies).
 type HCA struct {
 	fab      *Fabric
 	idx      int
@@ -65,8 +70,15 @@ type HCA struct {
 	nextWRID uint64
 }
 
-// AddHCA attaches a node to the fabric. counters may be nil.
+// AddHCA attaches a node to the fabric. counters may be nil. On a shared
+// fabric memory must be nil: the HCA gets the next partition of the arena.
 func (f *Fabric) AddHCA(name string, memory *mem.Memory, counters *stats.Counters) *HCA {
+	if f.arena != nil {
+		if memory != nil {
+			panic("ib: AddHCA on a shared fabric takes its memory from the arena")
+		}
+		memory = f.arena.Partition(len(f.hcas), name)
+	}
 	if counters == nil {
 		counters = &stats.Counters{}
 	}
@@ -153,7 +165,6 @@ func (h *HCA) Connect(peer verbs.HCA, sendCQ, recvCQ, peerSendCQ, peerRecvCQ ver
 var (
 	_ verbs.HCA = (*HCA)(nil)
 	_ verbs.QP  = (*QP)(nil)
-	_ verbs.CQ  = (*CQ)(nil)
 )
 
 // Connect creates a connected (RC) queue pair between two HCAs. Each side
@@ -163,29 +174,11 @@ func Connect(a, b *HCA, aSendCQ, aRecvCQ, bSendCQ, bRecvCQ *CQ) (*QP, *QP) {
 	if a.fab != b.fab {
 		panic("ib: Connect across fabrics")
 	}
-	qa := &QP{hca: a, num: a.nextQP, sendCQ: aSendCQ, recvCQ: aRecvCQ}
+	qa, qb := &QP{hca: a}, &QP{hca: b}
+	qa.Init(qa, a.nextQP, aSendCQ, aRecvCQ)
 	a.nextQP++
-	qb := &QP{hca: b, num: b.nextQP, sendCQ: bSendCQ, recvCQ: bRecvCQ}
+	qb.Init(qb, b.nextQP, bSendCQ, bRecvCQ)
 	b.nextQP++
 	qa.peer, qb.peer = qb, qa
 	return qa, qb
-}
-
-// validateSGL checks every SGE against the local registration table and
-// returns the total byte length.
-func validateSGL(h *HCA, sgl []SGE) (int64, error) {
-	var total int64
-	for _, s := range sgl {
-		if s.Len < 0 {
-			return 0, fmt.Errorf("ib %s: negative SGE length", h.name)
-		}
-		if s.Len == 0 {
-			continue
-		}
-		if err := h.mem.Reg().CheckAccess(s.Key, s.Addr, s.Len); err != nil {
-			return 0, err
-		}
-		total += s.Len
-	}
-	return total, nil
 }

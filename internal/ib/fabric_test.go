@@ -141,44 +141,6 @@ func TestSharedCQAcrossQPs(t *testing.T) {
 	}
 }
 
-// A bad descriptor anywhere in a list post must reject the whole list with
-// no partial side effects.
-func TestListPostAtomicValidation(t *testing.T) {
-	eng := simtime.NewEngine()
-	fab := NewFabric(eng, DefaultModel())
-	ma := mem.NewMemory("a", 4<<20)
-	mb := mem.NewMemory("b", 4<<20)
-	ca := &stats.Counters{}
-	ha := fab.AddHCA("a", ma, ca)
-	hb := fab.AddHCA("b", mb, &stats.Counters{})
-	as, ar := NewCQ(ha), NewCQ(ha)
-	bs, br := NewCQ(hb), NewCQ(hb)
-	qa, _ := Connect(ha, hb, as, ar, bs, br)
-
-	good := ma.MustAlloc(64)
-	gr, _ := ma.Reg().Register(good, 64)
-	dst := mb.MustAlloc(64)
-	dr, _ := mb.Reg().Register(dst, 64)
-	bad := ma.MustAlloc(64) // unregistered
-
-	err := qa.PostSendList([]SendWR{
-		{Op: OpRDMAWrite, SGL: []SGE{{Addr: good, Len: 64, Key: gr.LKey}}, RemoteAddr: dst, RKey: dr.RKey},
-		{Op: OpRDMAWrite, SGL: []SGE{{Addr: bad, Len: 64, Key: 9999}}, RemoteAddr: dst, RKey: dr.RKey},
-	})
-	if err == nil {
-		t.Fatal("list with bad lkey accepted")
-	}
-	if ca.DescriptorsPosted != 0 {
-		t.Fatalf("partial side effects: %d descriptors counted", ca.DescriptorsPosted)
-	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := mb.Bytes(dst, 8)[0]; got != 0 {
-		t.Fatal("data moved despite rejected post")
-	}
-}
-
 // Tracing must capture CPU and both port lanes with sane utilization.
 func TestFabricTracing(t *testing.T) {
 	eng := simtime.NewEngine()

@@ -2,10 +2,8 @@ package ib
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/simtime"
-	"repro/internal/trace"
 	"repro/internal/verbs"
 )
 
@@ -17,28 +15,13 @@ type (
 	RecvWR = verbs.RecvWR
 )
 
-// arrival is payload/notification waiting for a receive credit (the
-// simulation's receiver-not-ready stall).
-type arrival struct {
-	op     Opcode
-	data   []byte
-	bytes  int64
-	imm    uint32
-	hasImm bool
-}
-
-// QP is one end of a reliable connection.
+// QP is one end of a reliable connection. Its number, user tag, receive
+// credits and post validation come from the embedded verbs.QueuePair; the
+// QP adds the simulated transfer.
 type QP struct {
-	hca     *HCA
-	num     int
-	peer    *QP
-	sendCQ  *CQ
-	recvCQ  *CQ
-	recvQ   []RecvWR
-	stalled []arrival
-
-	// userData is free for the owning protocol layer (e.g. peer rank).
-	userData int
+	verbs.QueuePair
+	hca  *HCA
+	peer *QP
 }
 
 // HCA returns the owning adapter.
@@ -46,30 +29,6 @@ func (qp *QP) HCA() *HCA { return qp.hca }
 
 // Peer returns the connected remote QP.
 func (qp *QP) Peer() *QP { return qp.peer }
-
-// Num returns the QP number (unique per HCA).
-func (qp *QP) Num() int { return qp.num }
-
-// UserData returns the tag stored with SetUserData.
-func (qp *QP) UserData() int { return qp.userData }
-
-// SetUserData stores an integer tag on the QP for the owning protocol layer.
-func (qp *QP) SetUserData(v int) { qp.userData = v }
-
-// PostRecv posts a receive credit. If arrivals were stalled waiting for
-// credits they are delivered now, in arrival order.
-func (qp *QP) PostRecv(wr RecvWR) {
-	atomic.AddInt64(&qp.hca.counters.RecvsPosted, 1)
-	qp.recvQ = append(qp.recvQ, wr)
-	for len(qp.stalled) > 0 && len(qp.recvQ) > 0 {
-		a := qp.stalled[0]
-		qp.stalled = qp.stalled[1:]
-		qp.completeArrival(a)
-	}
-}
-
-// RecvCredits reports the number of posted, unconsumed receive credits.
-func (qp *QP) RecvCredits() int { return len(qp.recvQ) }
 
 // PostSend posts one work request.
 func (qp *QP) PostSend(wr SendWR) error {
@@ -84,266 +43,66 @@ func (qp *QP) PostSendList(wrs []SendWR) error {
 }
 
 func (qp *QP) post(wrs []SendWR, list bool) error {
-	if len(wrs) == 0 {
-		return nil
+	if err := qp.Admit(wrs, list, qp.peer.hca.mem); err != nil {
+		return err
 	}
 	h := qp.hca
-	m := h.Model()
-	eng := h.Engine()
-
-	// MaxPostBatch bounds descriptors per doorbell; it is distinct from
-	// MaxSGE, which bounds one descriptor's gather list.
-	if list && m.MaxPostBatch > 0 && len(wrs) > m.MaxPostBatch {
-		return fmt.Errorf("ib %s qp%d: list post of %d descriptors exceeds MaxPostBatch %d",
-			h.name, qp.num, len(wrs), m.MaxPostBatch)
-	}
-
-	// Validate everything before charging any time, so a bad descriptor in a
-	// list fails the whole post (as ibv_post_send does).
 	for i := range wrs {
-		if err := qp.validate(&wrs[i]); err != nil {
-			return fmt.Errorf("ib %s qp%d: %w", h.name, qp.num, err)
-		}
-	}
-
-	// Injected post failures model ibv_post_send rejecting the descriptor
-	// (transiently: queue full; permanently: QP moved to error state).
-	// Channel-semantics sends are exempt — control traffic must keep the
-	// transport's reliable ordering for the protocol layer's matching rules.
-	if inj := h.fab.injector; inj != nil && wrs[0].Op != OpSend {
-		if err := inj.PostFault(); err != nil {
-			return fmt.Errorf("ib %s qp%d: post: %w", h.name, qp.num, err)
-		}
-	}
-
-	c := h.counters
-	if list {
-		atomic.AddInt64(&c.ListPosts, 1)
-	}
-	for i := range wrs {
-		wr := &wrs[i]
-		atomic.AddInt64(&c.DescriptorsPosted, 1)
-		atomic.AddInt64(&c.SGEsPosted, int64(len(wr.SGL)))
-		if wr.Lane != 0 {
-			atomic.AddInt64(&c.LaneBulkDescs, 1)
-		}
-		switch wr.Op {
-		case OpSend:
-			atomic.AddInt64(&c.SendsPosted, 1)
-		case OpRDMAWrite, OpRDMAWriteImm:
-			atomic.AddInt64(&c.RDMAWritesPosted, 1)
-			if wr.Op == OpRDMAWriteImm {
-				atomic.AddInt64(&c.ImmediatesSent, 1)
-			}
-		case OpRDMARead:
-			atomic.AddInt64(&c.RDMAReadsPosted, 1)
-		}
-		if !list {
-			atomic.AddInt64(&c.ListPosts, 1) // each single post is its own post operation
-		}
-		cpuStart, cpuEnd := h.cpu.Acquire(eng.Now(), m.PostTime(i, len(wr.SGL), list))
-		h.fab.tracer.Add(h.name, trace.LaneCPU, "doorbell", cpuStart, cpuEnd)
-		qp.launch(*wr, cpuEnd)
+		end := h.ChargeCPUNamed(h.fab.model.PostTime(i, len(wrs[i].SGL), list), "doorbell")
+		qp.launch(wrs[i], end)
 	}
 	return nil
 }
 
-func (qp *QP) validate(wr *SendWR) error {
-	h := qp.hca
-	switch wr.Op {
-	case OpSend:
-		if len(wr.SGL) != 0 {
-			return fmt.Errorf("OpSend carries inline payloads only")
-		}
-		return nil
-	case OpRDMAWrite, OpRDMAWriteImm:
-		n, err := validateSGL(h, wr.SGL)
-		if err != nil {
-			return err
-		}
-		// Remote access rights are checked at delivery (the responder side),
-		// but the target range must at least be a plausible address.
-		if err := qp.peer.hca.mem.CheckRange(wr.RemoteAddr, n); err != nil {
-			return err
-		}
-		return nil
-	case OpRDMARead:
-		if _, err := validateSGL(h, wr.SGL); err != nil {
-			return err
-		}
-		return nil
-	default:
-		return fmt.Errorf("bad opcode %v", wr.Op)
-	}
-}
-
-// launch models NIC processing and wire transfer of one descriptor that
-// becomes eligible at time ready (when the host finished posting it).
+// launch hands one descriptor, which becomes eligible at time ready (when
+// the host finished posting it), to the fabric's transport.
+//
+// Injected CQE errors: the descriptor is consumed but the transfer fails
+// before any payload moves, and the initiator sees an error completion.
+// Channel-semantics sends are exempt (see verbs.QueuePair.Admit).
 func (qp *QP) launch(wr SendWR, ready simtime.Time) {
-	h := qp.hca
-	m := h.Model()
-	eng := h.Engine()
-
-	// Injected CQE errors: the NIC consumes the descriptor but the transfer
-	// fails before any payload moves, and the initiator sees an error
-	// completion after the round trip. Channel-semantics sends are exempt
-	// (see post).
-	if inj := h.fab.injector; inj != nil && wr.Op != OpSend {
+	tp := qp.hca.fab.tp
+	if inj := qp.hca.fab.injector; inj != nil && wr.Op != OpSend {
 		if ferr := inj.CQEFault(); ferr != nil {
-			qp.failLaunch(wr, ready, ferr)
+			tp.fail(qp, wr, ready, qp.Errorf("%v failed: %w", wr.Op, ferr))
 			return
 		}
 	}
-
-	switch wr.Op {
-	case OpSend:
-		payload := append([]byte(nil), wr.Inline...)
-		size := int64(len(payload))
-		occ := m.NICDescCost + m.WireTime(size)
-		sendStart, sendEnd := h.sendPort.AcquireAt(ready, occ)
-		rs, re := qp.peer.hca.recvPort.AcquireAt(sendStart.Add(m.WireLatency), m.WireTime(size))
-		h.traceLane(trace.LaneTx, "xmit:ctrl", sendStart, sendEnd)
-		qp.peer.hca.traceLane(trace.LaneRx, "xmit:ctrl", rs, re)
-		wrid := wr.WRID
-		imm, hasImm := wr.Imm, true
-		eng.At(re, func() {
-			qp.peer.arrive(arrival{op: OpSend, data: payload, bytes: size, imm: imm, hasImm: hasImm})
-		})
-		eng.At(re.Add(m.WireLatency), func() {
-			qp.sendCQ.push(CQE{QP: qp, WRID: wrid, Op: OpSend, Bytes: size})
-		})
-
-	case OpRDMAWrite, OpRDMAWriteImm:
-		// Snapshot the gather list at launch; hardware requires the source
-		// stable until completion and our protocols honor that.
-		var size int64
-		for _, s := range wr.SGL {
-			size += s.Len
-		}
-		payload := make([]byte, 0, size)
-		for _, s := range wr.SGL {
-			if s.Len > 0 {
-				payload = append(payload, h.mem.Bytes(s.Addr, s.Len)...)
-			}
-		}
-		occ := m.NICDescCost + simtime.Duration(len(wr.SGL))*m.NICSGECost + m.WireTime(size)
-		sendStart, sendEnd := h.sendPort.AcquireAt(ready, occ)
-		rs, re := qp.peer.hca.recvPort.AcquireAt(sendStart.Add(m.WireLatency), m.WireTime(size))
-		h.traceLane(trace.LaneTx, "wire:write", sendStart, sendEnd)
-		qp.peer.hca.traceLane(trace.LaneRx, "wire:write", rs, re)
-		wrcopy := wr
-		eng.At(re, func() { qp.deliverWrite(wrcopy, payload, size, re) })
-
-	case OpRDMARead:
-		var size int64
-		for _, s := range wr.SGL {
-			size += s.Len
-		}
-		// Request to responder.
-		reqOcc := m.NICDescCost + simtime.Duration(len(wr.SGL))*m.NICSGECost
-		reqStart, _ := h.sendPort.AcquireAt(ready, reqOcc)
-		// Responder streams the data back after its turnaround.
-		respReady := reqStart.Add(m.WireLatency + m.ReadTurnaround)
-		dataOcc := m.NICDescCost + m.WireTime(size)
-		respStart, respEnd := qp.peer.hca.sendPort.AcquireAt(respReady, dataOcc)
-		ls, le := h.recvPort.AcquireAt(respStart.Add(m.WireLatency), m.WireTime(size))
-		qp.peer.hca.traceLane(trace.LaneTx, "wire:read-resp", respStart, respEnd)
-		h.traceLane(trace.LaneRx, "wire:read-resp", ls, le)
-		wrcopy := wr
-		eng.At(le, func() { qp.completeRead(wrcopy, size) })
-	}
-}
-
-// failLaunch completes a descriptor with an injected error: the send port
-// is occupied for the descriptor-processing attempt, no data crosses the
-// wire, and the error CQE arrives after a round trip.
-func (qp *QP) failLaunch(wr SendWR, ready simtime.Time, ferr error) {
-	h := qp.hca
-	m := h.Model()
-	occ := m.NICDescCost + simtime.Duration(len(wr.SGL))*m.NICSGECost
-	sendStart, sendEnd := h.sendPort.AcquireAt(ready, occ)
-	h.traceLane(trace.LaneTx, "wire:fault", sendStart, sendEnd)
-	err := fmt.Errorf("ib %s qp%d: %v failed: %w", h.name, qp.num, wr.Op, ferr)
-	wrid, op := wr.WRID, wr.Op
-	h.Engine().At(sendEnd.Add(2*m.WireLatency), func() {
-		qp.sendCQ.push(CQE{QP: qp, WRID: wrid, Op: op, Err: err})
-	})
+	tp.launch(qp, wr, ready)
 }
 
 // deliverWrite lands an RDMA write at the responder.
-func (qp *QP) deliverWrite(wr SendWR, payload []byte, size int64, t simtime.Time) {
-	m := qp.hca.Model()
+func (qp *QP) deliverWrite(wr SendWR, payload []byte, size int64) {
 	peer := qp.peer
 	// Responder-side protection check.
 	if err := peer.hca.mem.Reg().CheckAccess(wr.RKey, wr.RemoteAddr, size); err != nil {
-		qp.sendCQ.push(CQE{QP: qp, WRID: wr.WRID, Op: wr.Op, Bytes: size,
-			Err: fmt.Errorf("remote access error: %w", err)})
+		qp.Complete(wr.WRID, wr.Op, size, fmt.Errorf("remote access error: %w", err))
 		return
 	}
 	copy(peer.hca.mem.Bytes(wr.RemoteAddr, size), payload)
 	if wr.Op == OpRDMAWriteImm {
-		peer.arrive(arrival{op: OpRDMAWriteImm, bytes: size, imm: wr.Imm, hasImm: true})
+		peer.Arrive(nil, size, wr.Imm)
 	}
-	// Initiator completion after the ack returns; injected delays model a
+	// Initiator completion when the ack returns; injected delays model a
 	// congested completion path without reordering the data delivery above.
 	var delay simtime.Duration
 	if inj := qp.hca.fab.injector; inj != nil {
 		delay = inj.Delay()
 	}
-	eng := qp.hca.Engine()
-	eng.At(t.Add(m.WireLatency+delay), func() {
-		qp.sendCQ.push(CQE{QP: qp, WRID: wr.WRID, Op: wr.Op, Bytes: size})
-	})
+	qp.hca.fab.tp.ackWrite(qp, wr, size, delay)
 }
 
 // completeRead lands RDMA read data at the initiator.
 func (qp *QP) completeRead(wr SendWR, size int64) {
 	peer := qp.peer
 	if err := peer.hca.mem.Reg().CheckAccess(wr.RKey, wr.RemoteAddr, size); err != nil {
-		qp.sendCQ.push(CQE{QP: qp, WRID: wr.WRID, Op: OpRDMARead, Bytes: size,
-			Err: fmt.Errorf("remote access error: %w", err)})
+		qp.Complete(wr.WRID, OpRDMARead, size, fmt.Errorf("remote access error: %w", err))
 		return
 	}
-	src := peer.hca.mem.Bytes(wr.RemoteAddr, size)
-	var off int64
-	for _, s := range wr.SGL {
-		if s.Len <= 0 {
-			continue
-		}
-		copy(qp.hca.mem.Bytes(s.Addr, s.Len), src[off:off+s.Len])
-		off += s.Len
-	}
+	verbs.Scatter(qp.hca.mem, wr.SGL, peer.hca.mem.Bytes(wr.RemoteAddr, size))
+	var delay simtime.Duration
 	if inj := qp.hca.fab.injector; inj != nil {
-		if delay := inj.Delay(); delay > 0 {
-			qp.hca.Engine().Schedule(delay, func() {
-				qp.sendCQ.push(CQE{QP: qp, WRID: wr.WRID, Op: OpRDMARead, Bytes: size})
-			})
-			return
-		}
+		delay = inj.Delay()
 	}
-	qp.sendCQ.push(CQE{QP: qp, WRID: wr.WRID, Op: OpRDMARead, Bytes: size})
-}
-
-// arrive delivers a channel-semantics payload or an immediate notification,
-// consuming a receive credit or stalling until one is posted.
-func (qp *QP) arrive(a arrival) {
-	if len(qp.recvQ) == 0 {
-		qp.stalled = append(qp.stalled, a)
-		return
-	}
-	qp.completeArrival(a)
-}
-
-func (qp *QP) completeArrival(a arrival) {
-	rwr := qp.recvQ[0]
-	qp.recvQ = qp.recvQ[1:]
-	qp.recvCQ.push(CQE{
-		QP:     qp,
-		WRID:   rwr.WRID,
-		Op:     OpRecv,
-		Bytes:  a.bytes,
-		Imm:    a.imm,
-		HasImm: a.hasImm,
-		Data:   a.data,
-	})
+	qp.CompleteAfter(delay, wr.WRID, OpRDMARead, size)
 }

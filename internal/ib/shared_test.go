@@ -1,4 +1,4 @@
-package shmfab
+package ib
 
 import (
 	"bytes"
@@ -10,37 +10,29 @@ import (
 	"repro/internal/stats"
 )
 
-type pair struct {
-	eng    *simtime.Engine
-	fab    *Fabric
-	a, b   *Node
-	qa, qb *QP
-	aSend  *CQ
-	aRecv  *CQ
-	bSend  *CQ
-	bRecv  *CQ
-	ca, cb *stats.Counters
-}
+// The shared-memory transport: the same verbs semantics as the wire, with
+// every transfer a copy between partitions of one arena.
 
-func newPair(t *testing.T, model Model) *pair {
+// newSharedPair is newPair on a two-partition shared fabric.
+func newSharedPair(t *testing.T) *pair {
 	t.Helper()
 	eng := simtime.NewEngine()
-	fab := New(eng, model, 2, 1<<22)
+	fab := NewSharedFabric(eng, DefaultSharedModel(), 2, 1<<22)
 	ca, cb := &stats.Counters{}, &stats.Counters{}
-	a := fab.AddNode("a", ca)
-	b := fab.AddNode("b", cb)
+	a := fab.AddHCA("a", nil, ca)
+	b := fab.AddHCA("b", nil, cb)
 	p := &pair{
 		eng: eng, fab: fab, a: a, b: b,
 		aSend: NewCQ(a), aRecv: NewCQ(a),
 		bSend: NewCQ(b), bRecv: NewCQ(b),
-		ca: ca, cb: cb,
+		ca: ca, cb: cb, memA: a.Mem(), memB: b.Mem(),
 	}
 	p.qa, p.qb = Connect(a, b, p.aSend, p.aRecv, p.bSend, p.bRecv)
 	return p
 }
 
 func TestChannelSendRoundTrip(t *testing.T) {
-	p := newPair(t, DefaultModel())
+	p := newSharedPair(t)
 	payload := []byte("shared-memory control traffic")
 	p.qb.PostRecv(RecvWR{WRID: 7})
 	if err := p.qa.PostSend(SendWR{WRID: 1, Op: OpSend, Inline: payload, Imm: 42}); err != nil {
@@ -65,17 +57,17 @@ func TestChannelSendRoundTrip(t *testing.T) {
 // TestWriteReadAcrossPartitions moves bytes both ways through the shared
 // arena with registered regions and checks the data lands exactly where
 // addressed — and that read costs the same virtual time as write, the
-// backend's defining no-round-trip property.
+// shared transport's defining no-round-trip property.
 func TestWriteReadAcrossPartitions(t *testing.T) {
-	p := newPair(t, DefaultModel())
+	p := newSharedPair(t)
 	const n = 8192
-	src := p.a.Mem().MustAlloc(n)
-	dst := p.b.Mem().MustAlloc(n)
-	srcReg, err := p.a.Mem().Reg().Register(src, n)
+	src := p.memA.MustAlloc(n)
+	dst := p.memB.MustAlloc(n)
+	srcReg, err := p.memA.Reg().Register(src, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dstReg, err := p.b.Mem().Reg().Register(dst, n)
+	dstReg, err := p.memB.Reg().Register(dst, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +75,7 @@ func TestWriteReadAcrossPartitions(t *testing.T) {
 	for i := range want {
 		want[i] = byte(i*7 + 3)
 	}
-	copy(p.a.Mem().Bytes(src, n), want)
+	copy(p.memA.Bytes(src, n), want)
 
 	var writeDone, readDone simtime.Time
 	p.aSend.SetHandler(func(e CQE) {
@@ -107,13 +99,13 @@ func TestWriteReadAcrossPartitions(t *testing.T) {
 	if err := p.eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(p.b.Mem().Bytes(dst, n), want) {
+	if !bytes.Equal(p.memB.Bytes(dst, n), want) {
 		t.Fatal("write did not land in the peer partition")
 	}
 
 	// Read the same bytes back into a fresh local buffer.
-	back := p.a.Mem().MustAlloc(n)
-	backReg, err := p.a.Mem().Reg().Register(back, n)
+	back := p.memA.MustAlloc(n)
+	backReg, err := p.memA.Reg().Register(back, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +120,7 @@ func TestWriteReadAcrossPartitions(t *testing.T) {
 	if err := p.eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(p.a.Mem().Bytes(back, n), want) {
+	if !bytes.Equal(p.memA.Bytes(back, n), want) {
 		t.Fatal("read did not pull the peer partition's bytes")
 	}
 	if writeDone == 0 || readDone == 0 {
@@ -144,21 +136,21 @@ func TestWriteReadAcrossPartitions(t *testing.T) {
 // and must not move a single byte, even though physically the source and
 // target live in one mapping.
 func TestRegistrationViolation(t *testing.T) {
-	p := newPair(t, DefaultModel())
+	p := newSharedPair(t)
 	const n = 4096
-	src := p.a.Mem().MustAlloc(n)
-	dst := p.b.Mem().MustAlloc(2 * n)
-	srcReg, err := p.a.Mem().Reg().Register(src, n)
+	src := p.memA.MustAlloc(n)
+	dst := p.memB.MustAlloc(2 * n)
+	srcReg, err := p.memA.Reg().Register(src, n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Register only the first half of the destination; target the second.
-	dstReg, err := p.b.Mem().Reg().Register(dst, n)
+	dstReg, err := p.memB.Reg().Register(dst, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range p.a.Mem().Bytes(src, n) {
-		p.a.Mem().Bytes(src, n)[i] = 0xAB
+	for i := range p.memA.Bytes(src, n) {
+		p.memA.Bytes(src, n)[i] = 0xAB
 	}
 	if err := p.qa.PostSend(SendWR{
 		WRID: 1, Op: OpRDMAWrite,
@@ -174,7 +166,7 @@ func TestRegistrationViolation(t *testing.T) {
 	if !ok || e.Err == nil || !strings.Contains(e.Err.Error(), "remote access error") {
 		t.Fatalf("completion = %+v ok=%v, want remote access error", e, ok)
 	}
-	for _, b := range p.b.Mem().Bytes(dst, 2*n) {
+	for _, b := range p.memB.Bytes(dst, 2*n) {
 		if b != 0 {
 			t.Fatal("faulted write leaked bytes into the peer partition")
 		}
@@ -196,10 +188,10 @@ func TestRegistrationViolation(t *testing.T) {
 // write between two ranks leaves every other partition untouched.
 func TestPartitionIsolation(t *testing.T) {
 	eng := simtime.NewEngine()
-	fab := New(eng, DefaultModel(), 4, 1<<20)
-	nodes := make([]*Node, 4)
+	fab := NewSharedFabric(eng, DefaultSharedModel(), 4, 1<<20)
+	nodes := make([]*HCA, 4)
 	for i := range nodes {
-		nodes[i] = fab.AddNode(string(rune('a'+i)), nil)
+		nodes[i] = fab.AddHCA(string(rune('a'+i)), nil, nil)
 	}
 	if got := fab.Arena().Size(); got != 4<<20 {
 		t.Fatalf("arena size = %d, want %d", got, 4<<20)
@@ -244,12 +236,12 @@ func TestPartitionIsolation(t *testing.T) {
 // byte-for-byte golden comparison rests on.
 func TestDeterminism(t *testing.T) {
 	run := func() simtime.Time {
-		p := newPair(t, DefaultModel())
+		p := newSharedPair(t)
 		const n = 32768
-		src := p.a.Mem().MustAlloc(n)
-		dst := p.b.Mem().MustAlloc(n)
-		srcReg, _ := p.a.Mem().Reg().Register(src, n)
-		dstReg, _ := p.b.Mem().Reg().Register(dst, n)
+		src := p.memA.MustAlloc(n)
+		dst := p.memB.MustAlloc(n)
+		srcReg, _ := p.memA.Reg().Register(src, n)
+		dstReg, _ := p.memB.Reg().Register(dst, n)
 		if err := p.qa.PostSend(SendWR{
 			WRID: 1, Op: OpRDMAWriteImm,
 			SGL:        []SGE{{Addr: src, Len: n, Key: srcReg.LKey}},
@@ -272,13 +264,13 @@ func TestDeterminism(t *testing.T) {
 // injector to see both the post-failure and the error-completion paths, and
 // checks channel sends stay exempt.
 func TestFaultInjection(t *testing.T) {
-	p := newPair(t, DefaultModel())
+	p := newSharedPair(t)
 	p.fab.SetInjector(fault.New(fault.Config{Seed: 1, PostFailRate: 1}))
 	const n = 512
-	src := p.a.Mem().MustAlloc(n)
-	dst := p.b.Mem().MustAlloc(n)
-	srcReg, _ := p.a.Mem().Reg().Register(src, n)
-	dstReg, _ := p.b.Mem().Reg().Register(dst, n)
+	src := p.memA.MustAlloc(n)
+	dst := p.memB.MustAlloc(n)
+	srcReg, _ := p.memA.Reg().Register(src, n)
+	dstReg, _ := p.memB.Reg().Register(dst, n)
 	wr := SendWR{
 		WRID: 1, Op: OpRDMAWrite,
 		SGL:        []SGE{{Addr: src, Len: n, Key: srcReg.LKey}},

@@ -1,20 +1,17 @@
 package mem
 
-import (
-	"fmt"
-	"runtime"
-)
+import "fmt"
 
 // Arena is one shared backing store partitioned into equal per-rank address
-// spaces. The shared-memory fabric (internal/shmfab) uses it to model an
-// intra-node communicator: every rank's Memory is a window into the same
-// mapping, so an "RDMA" transfer between two ranks is literally a copy within
-// one allocation — while each partition keeps its own allocator and
-// registration table, preserving the lkey/rkey protection checks the
-// protocols rely on.
+// spaces. The simulator's shared-memory transport (ib.NewSharedFabric) uses
+// it to model an intra-node communicator: every rank's Memory is a window
+// into the same mapping, so an "RDMA" transfer between two ranks is
+// literally a copy within one allocation — while each partition keeps its
+// own allocator and registration table, preserving the lkey/rkey
+// protection checks the protocols rely on.
 type Arena struct {
 	data    []byte
-	mapped  []byte // non-nil when data is an anonymous mapping
+	backing *mapping // non-nil when data lives in an anonymous mapping
 	perPart int64
 	parts   int
 }
@@ -30,10 +27,7 @@ func NewArena(parts int, perPart int64) *Arena {
 		perPart = 2 * PageSize
 	}
 	a := &Arena{perPart: perPart, parts: parts}
-	a.data, a.mapped = newBacking(int64(parts) * perPart)
-	if a.mapped != nil {
-		runtime.SetFinalizer(a, func(x *Arena) { releaseBacking(x.mapped) })
-	}
+	a.data, a.backing = newBacking(int64(parts) * perPart)
 	return a
 }
 
@@ -49,19 +43,20 @@ func (a *Arena) Size() int64 { return int64(len(a.data)) }
 // Partition returns partition i as a Memory with its own allocator and
 // registration table. Addresses are partition-local (the first page is
 // reserved so Addr 0 stays a nil address, exactly as in NewMemory), but the
-// bytes live in the shared mapping. The returned Memory pins the arena: the
-// backing store is released only after every partition becomes unreachable.
+// bytes live in the shared mapping. The returned Memory pins the mapping:
+// the backing store is released only after the arena and every partition
+// become unreachable.
 func (a *Arena) Partition(i int, name string) *Memory {
 	if i < 0 || i >= a.parts {
 		panic(fmt.Sprintf("mem: partition %d of %d", i, a.parts))
 	}
 	lo := int64(i) * a.perPart
 	m := &Memory{
-		name:  name,
-		data:  a.data[lo : lo+a.perPart : lo+a.perPart],
-		free:  []span{{off: PageSize, len: a.perPart - PageSize}},
-		inUse: make(map[Addr]int64),
-		arena: a,
+		name:    name,
+		data:    a.data[lo : lo+a.perPart : lo+a.perPart],
+		free:    []span{{off: PageSize, len: a.perPart - PageSize}},
+		inUse:   make(map[Addr]int64),
+		backing: a.backing,
 	}
 	m.reg = newRegTable(m)
 	return m

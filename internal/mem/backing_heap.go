@@ -4,9 +4,6 @@ package mem
 
 // newBacking returns a zeroed address space of the given size from the Go
 // heap; platforms without the anonymous-mapping fast path pay eager zeroing.
-func newBacking(size int64) ([]byte, []byte) {
+func newBacking(size int64) ([]byte, *mapping) {
 	return make([]byte, size), nil
 }
-
-// releaseBacking is a no-op for heap-backed address spaces.
-func releaseBacking([]byte) {}

@@ -2,7 +2,10 @@
 
 package mem
 
-import "syscall"
+import (
+	"runtime"
+	"syscall"
+)
 
 // lazyThreshold is the arena size above which backing memory comes from an
 // anonymous mapping instead of the Go heap. Heap slices are zeroed eagerly
@@ -12,9 +15,10 @@ import "syscall"
 const lazyThreshold = 16 << 20
 
 // newBacking returns a zeroed address space of the given size. The second
-// result is the mapping to hand back to releaseBacking when the owning
-// Memory is collected, or nil when the space came from the Go heap.
-func newBacking(size int64) ([]byte, []byte) {
+// result owns the space when it is an anonymous mapping, and unmaps it once
+// unreachable; it is nil when the space came from the Go heap. Whoever holds
+// the space must hold the mapping too.
+func newBacking(size int64) ([]byte, *mapping) {
 	if size < lazyThreshold {
 		return make([]byte, size), nil
 	}
@@ -26,10 +30,7 @@ func newBacking(size int64) ([]byte, []byte) {
 		// the eager heap slice, which is always correct.
 		return make([]byte, size), nil
 	}
-	return b, b
-}
-
-// releaseBacking returns an anonymous mapping to the OS.
-func releaseBacking(mapped []byte) {
-	_ = syscall.Munmap(mapped)
+	m := &mapping{b: b}
+	runtime.SetFinalizer(m, func(m *mapping) { _ = syscall.Munmap(m.b) })
+	return b, m
 }

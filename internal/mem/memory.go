@@ -16,7 +16,6 @@ package mem
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 )
 
@@ -52,14 +51,19 @@ type span struct {
 // Memory is one node's simulated address space. It is not goroutine-safe;
 // the single-threaded simulation engine serializes all access.
 type Memory struct {
-	name   string
-	data   []byte
-	mapped []byte // non-nil when data is an anonymous mapping (backing_mmap.go)
-	free   []span // sorted by offset, coalesced
-	inUse  map[Addr]int64
-	reg    *RegTable
-	arena  *Arena // non-nil for shared-arena partitions; keeps the mapping alive
+	name    string
+	data    []byte
+	backing *mapping // non-nil when data lives in an anonymous mapping; keeps it mapped
+	free    []span   // sorted by offset, coalesced
+	inUse   map[Addr]int64
+	reg     *RegTable
 }
+
+// mapping owns an anonymous mapping (backing_mmap.go) and returns it to the
+// OS once unreachable. It is a small object of its own, outside the Memory
+// <-> RegTable cycle, because Go does not run a finalizer set on an object
+// in a cycle: a finalizer on Memory would keep every dropped arena mapped.
+type mapping struct{ b []byte }
 
 // NewMemory creates an address space of the given size in bytes. The first
 // page is kept unusable so that Addr(0) can serve as a nil address. Large
@@ -75,10 +79,7 @@ func NewMemory(name string, size int64) *Memory {
 		free:  []span{{off: PageSize, len: size - PageSize}},
 		inUse: make(map[Addr]int64),
 	}
-	m.data, m.mapped = newBacking(size)
-	if m.mapped != nil {
-		runtime.SetFinalizer(m, func(mm *Memory) { releaseBacking(mm.mapped) })
-	}
+	m.data, m.backing = newBacking(size)
 	m.reg = newRegTable(m)
 	return m
 }

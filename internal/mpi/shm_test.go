@@ -3,6 +3,7 @@ package mpi
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -10,7 +11,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/ib"
 	"repro/internal/mem"
-	"repro/internal/shmfab"
+	"repro/internal/trace"
 )
 
 // Shared-memory-backend invariants at the MPI layer: the arena partition
@@ -30,8 +31,11 @@ func TestSHMModelSubstitution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := *w.SHM().Model(), shmfab.DefaultModel(); got != want {
-		t.Fatalf("default-model shm world runs %+v, want shmfab.DefaultModel", got)
+	if w.Fabric() == nil {
+		t.Fatal("shm world has no simulated fabric")
+	}
+	if got, want := *w.Fabric().Model(), ib.DefaultSharedModel(); got != want {
+		t.Fatalf("default-model shm world runs %+v, want ib.DefaultSharedModel", got)
 	}
 
 	custom := ib.DefaultModel()
@@ -41,9 +45,46 @@ func TestSHMModelSubstitution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := *w.SHM().Model(); got != custom {
+	if got := *w.Fabric().Model(); got != custom {
 		t.Fatalf("customized model was substituted: %+v", got)
 	}
+}
+
+// TestSHMWorldFabricTracer attaches a tracer the way cmd/dtpipeline does,
+// through World.Fabric(), on a shared-memory world: the fabric exists, and
+// its copy transfers show on the CPU lane as shm:* spans.
+func TestSHMWorldFabricTracer(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Ranks = 2
+	cfg.MemBytes = 64 << 20
+	cfg.Backend = BackendSHM
+	w, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := trace.New()
+	w.Fabric().SetTracer(rec)
+	dt, err := datatype.TypeVector(64, 8, 16, datatype.Int32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = w.Run(func(p *Proc) error {
+		buf := confAlloc(p, dt, 4)
+		if p.Rank() == 0 {
+			return p.Send(buf, 4, dt, 1, 0)
+		}
+		_, err := p.Recv(buf, 4, dt, 0, 0)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range rec.Events() {
+		if e.Lane == trace.LaneCPU && strings.HasPrefix(e.Name, "shm:") {
+			return
+		}
+	}
+	t.Fatal("no shm:* span recorded through World.Fabric()")
 }
 
 // TestSHMConformanceVsSimOracle runs the same transfer on the simulator and

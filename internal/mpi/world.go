@@ -19,7 +19,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/pack"
 	"repro/internal/rtfab"
-	"repro/internal/shmfab"
 	"repro/internal/simtime"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -57,7 +56,7 @@ type Config struct {
 	// Backend selects the verbs substrate: BackendSim ("" or "sim"),
 	// BackendRT ("rt"), or BackendSHM ("shm"). On BackendSHM a Config whose
 	// Model is still the untouched ib.DefaultModel() gets
-	// shmfab.DefaultModel() substituted, so default worlds price each
+	// ib.DefaultSharedModel() substituted, so default worlds price each
 	// backend with its own profile; an explicitly customized Model is always
 	// honored as given.
 	Backend string
@@ -98,15 +97,14 @@ func DefaultConfig() Config {
 	}
 }
 
-// World is a cluster on either backend: a fabric and one endpoint per rank.
-// On the simulator all ranks share one engine; on the real-time backend each
-// rank's endpoint runs on its node's private engine.
+// World is a cluster on any backend: a fabric and one endpoint per rank.
+// On the simulated fabrics (sim and shm) all ranks share one engine; on the
+// real-time backend each rank's endpoint runs on its node's private engine.
 type World struct {
 	cfg  Config
 	eng  *simtime.Engine // sim and shm (shared engine)
-	fab  *ib.Fabric      // simulator only
+	fab  *ib.Fabric      // sim and shm
 	rt   *rtfab.Fabric   // real-time only
-	shm  *shmfab.Fabric  // shared-memory only
 	hcas []verbs.HCA
 	eps  []*core.Endpoint
 }
@@ -134,12 +132,15 @@ func NewWorld(cfg Config) (*World, error) {
 	case "", BackendSim:
 		w.eng = simtime.NewEngine()
 		w.fab = ib.NewFabric(w.eng, cfg.Model)
-		if cfg.Trace != nil {
-			w.fab.SetTracer(cfg.Trace)
+	case BackendSHM:
+		if cfg.Model == ib.DefaultModel() {
+			// The default Model is the IB testbed; a shared-memory world
+			// with an untouched default gets the zero-link profile instead.
+			cfg.Model = ib.DefaultSharedModel()
+			w.cfg.Model = cfg.Model
 		}
-		if cfg.Fault != nil {
-			w.fab.SetInjector(cfg.Fault)
-		}
+		w.eng = simtime.NewEngine()
+		w.fab = ib.NewSharedFabric(w.eng, cfg.Model, cfg.Ranks, cfg.MemBytes)
 	case BackendRT:
 		w.rt = rtfab.New(cfg.Model)
 		if cfg.Trace != nil {
@@ -148,23 +149,16 @@ func NewWorld(cfg Config) (*World, error) {
 		if cfg.Fault != nil {
 			w.rt.SetInjector(cfg.Fault)
 		}
-	case BackendSHM:
-		if cfg.Model == ib.DefaultModel() {
-			// The default Model is the IB testbed; a shared-memory world
-			// with an untouched default gets the zero-link profile instead.
-			cfg.Model = shmfab.DefaultModel()
-			w.cfg.Model = cfg.Model
-		}
-		w.eng = simtime.NewEngine()
-		w.shm = shmfab.New(w.eng, cfg.Model, cfg.Ranks, cfg.MemBytes)
-		if cfg.Trace != nil {
-			w.shm.SetTracer(cfg.Trace)
-		}
-		if cfg.Fault != nil {
-			w.shm.SetInjector(cfg.Fault)
-		}
 	default:
 		return nil, fmt.Errorf("mpi: unknown backend %q", cfg.Backend)
+	}
+	if w.fab != nil {
+		if cfg.Trace != nil {
+			w.fab.SetTracer(cfg.Trace)
+		}
+		if cfg.Fault != nil {
+			w.fab.SetInjector(cfg.Fault)
+		}
 	}
 	ccfg := cfg.Core
 	if cfg.Trace != nil {
@@ -195,14 +189,14 @@ func NewWorld(cfg Config) (*World, error) {
 		name := fmt.Sprintf("rank%d", i)
 		var hca verbs.HCA
 		switch {
-		case w.fab != nil:
-			hca = w.fab.AddHCA(name, mem.NewMemory(name, cfg.MemBytes), nil)
 		case w.rt != nil:
 			hca = w.rt.AddNode(name, mem.NewMemory(name, cfg.MemBytes), nil)
-		default:
+		case w.fab.Arena() != nil:
 			// Shared-memory backend: the fabric carves the rank's partition
 			// out of the one shared arena.
-			hca = w.shm.AddNode(name, nil)
+			hca = w.fab.AddHCA(name, nil, nil)
+		default:
+			hca = w.fab.AddHCA(name, mem.NewMemory(name, cfg.MemBytes), nil)
 		}
 		w.hcas = append(w.hcas, hca)
 		ep, err := core.NewEndpoint(i, hca, ccfg)
@@ -220,7 +214,7 @@ func (w *World) Backend() string {
 	switch {
 	case w.rt != nil:
 		return BackendRT
-	case w.shm != nil:
+	case w.fab.Arena() != nil:
 		return BackendSHM
 	}
 	return BackendSim
@@ -230,11 +224,8 @@ func (w *World) Backend() string {
 // on the real-time backend (where each rank owns a private engine).
 func (w *World) Engine() *simtime.Engine { return w.eng }
 
-// SHM returns the shared-memory fabric, or nil on the other backends.
-func (w *World) SHM() *shmfab.Fabric { return w.shm }
-
-// Fabric returns the simulated interconnect (e.g. to attach a tracer), or
-// nil on the real-time backend.
+// Fabric returns the simulated fabric (e.g. to attach a tracer) on sim and
+// shm, or nil on the real-time backend.
 func (w *World) Fabric() *ib.Fabric { return w.fab }
 
 // Endpoint returns rank i's communication engine (for counter inspection).

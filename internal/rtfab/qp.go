@@ -2,92 +2,24 @@ package rtfab
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/simtime"
 	"repro/internal/verbs"
 )
 
-// CQ is a completion queue on one node. All methods run on the owning
-// node's execution context; completions pushed by remote operations arrive
-// as inbox closures, so they too execute on the owner's driver.
-type CQ struct {
-	node    *Node
-	queue   []verbs.CQE
-	handler func(verbs.CQE)
-	sig     simtime.Signal
-}
-
-// NewCQ creates a completion queue on this node (verbs.HCA).
-func (n *Node) NewCQ() verbs.CQ { return &CQ{node: n} }
-
-// SetHandler switches the CQ to handler dispatch. Each entry is delivered in
-// its own engine event after reserving CompletionCost on the node's virtual
-// CPU, exactly like the simulator, so handlers never reenter posting code.
-func (cq *CQ) SetHandler(fn func(verbs.CQE)) {
-	if len(cq.queue) > 0 {
-		panic("rtfab: SetHandler on non-empty CQ")
-	}
-	cq.handler = fn
-}
-
-// push delivers a completion. Must run on the owning node's driver.
-func (cq *CQ) push(e verbs.CQE) {
-	atomic.AddInt64(&cq.node.counters.Completions, 1)
-	if cq.handler != nil {
-		end := cq.node.ChargeCPUNamed(cq.node.Model().CompletionCost, "cqe")
-		cq.node.eng.At(end, func() { cq.handler(e) })
-		return
-	}
-	cq.queue = append(cq.queue, e)
-	cq.sig.Broadcast()
-}
-
-// Poll removes and returns the oldest completion, if any.
-func (cq *CQ) Poll() (verbs.CQE, bool) {
-	if len(cq.queue) == 0 {
-		return verbs.CQE{}, false
-	}
-	e := cq.queue[0]
-	cq.queue = cq.queue[1:]
-	return e, true
-}
-
-// WaitPoll blocks the process until a completion is available, then returns
-// it, charging the completion-handling CPU cost.
-func (cq *CQ) WaitPoll(p *simtime.Process) verbs.CQE {
-	for len(cq.queue) == 0 {
-		p.Wait(&cq.sig)
-	}
-	e := cq.queue[0]
-	cq.queue = cq.queue[1:]
-	end := cq.node.ChargeCPU(cq.node.Model().CompletionCost)
-	p.WaitUntil(end)
-	return e
-}
-
-// Len reports the number of queued completions (always 0 in handler mode).
-func (cq *CQ) Len() int { return len(cq.queue) }
-
-// arrival is a payload or notification waiting for a receive credit.
-type arrival struct {
-	data   []byte
-	bytes  int64
-	imm    uint32
-	hasImm bool
-}
+// NewCQ creates a completion queue on this node (verbs.HCA). All its
+// methods run on the node's execution context; completions pushed by remote
+// operations arrive as inbox closures, so they too execute on the owner's
+// driver.
+func (n *Node) NewCQ() verbs.CQ { return verbs.NewCompletionQueue(n) }
 
 // QP is one end of a reliable connection. Queue state (credits, stalled
-// arrivals) is owned by the node's driver goroutine.
+// arrivals, in the embedded verbs.QueuePair) is owned by the node's driver
+// goroutine.
 type QP struct {
-	node     *Node
-	num      int
-	peer     *QP
-	sendCQ   *CQ
-	recvCQ   *CQ
-	recvQ    []verbs.RecvWR
-	stalled  []arrival
-	userData int
+	verbs.QueuePair
+	node *Node
+	peer *QP
 }
 
 // Connect implements verbs.HCA: it creates a connected (RC) queue pair
@@ -104,37 +36,14 @@ func (n *Node) Connect(peer verbs.HCA, sendCQ, recvCQ, peerSendCQ, peerRecvCQ ve
 	if n.fab.started {
 		panic("rtfab: Connect after Run")
 	}
-	qa := &QP{node: n, num: n.nextQP, sendCQ: sendCQ.(*CQ), recvCQ: recvCQ.(*CQ)}
+	qa, qb := &QP{node: n}, &QP{node: p}
+	qa.Init(qa, n.nextQP, sendCQ.(*verbs.CompletionQueue), recvCQ.(*verbs.CompletionQueue))
 	n.nextQP++
-	qb := &QP{node: p, num: p.nextQP, sendCQ: peerSendCQ.(*CQ), recvCQ: peerRecvCQ.(*CQ)}
+	qb.Init(qb, p.nextQP, peerSendCQ.(*verbs.CompletionQueue), peerRecvCQ.(*verbs.CompletionQueue))
 	p.nextQP++
 	qa.peer, qb.peer = qb, qa
 	return qa, qb
 }
-
-// Num returns the QP number (unique per node).
-func (qp *QP) Num() int { return qp.num }
-
-// UserData returns the tag stored with SetUserData.
-func (qp *QP) UserData() int { return qp.userData }
-
-// SetUserData stores an integer tag on the QP for the owning protocol layer.
-func (qp *QP) SetUserData(v int) { qp.userData = v }
-
-// PostRecv posts a receive credit. If arrivals were stalled waiting for
-// credits they are delivered now, in arrival order.
-func (qp *QP) PostRecv(wr verbs.RecvWR) {
-	atomic.AddInt64(&qp.node.counters.RecvsPosted, 1)
-	qp.recvQ = append(qp.recvQ, wr)
-	for len(qp.stalled) > 0 && len(qp.recvQ) > 0 {
-		a := qp.stalled[0]
-		qp.stalled = qp.stalled[1:]
-		qp.completeArrival(a)
-	}
-}
-
-// RecvCredits reports the number of posted, unconsumed receive credits.
-func (qp *QP) RecvCredits() int { return len(qp.recvQ) }
 
 // PostSend posts one work request.
 func (qp *QP) PostSend(wr verbs.SendWR) error {
@@ -147,33 +56,10 @@ func (qp *QP) PostSendList(wrs []verbs.SendWR) error {
 }
 
 func (qp *QP) post(wrs []verbs.SendWR, list bool) error {
-	if len(wrs) == 0 {
-		return nil
+	if err := qp.Admit(wrs, list, qp.peer.node.mem); err != nil {
+		return err
 	}
 	n := qp.node
-
-	// MaxPostBatch bounds descriptors per doorbell; it is distinct from
-	// MaxSGE, which bounds one descriptor's gather list.
-	if m := n.Model().MaxPostBatch; list && m > 0 && len(wrs) > m {
-		return fmt.Errorf("rtfab %s qp%d: list post of %d descriptors exceeds MaxPostBatch %d",
-			n.name, qp.num, len(wrs), m)
-	}
-
-	// Validate everything before launching anything, so a bad descriptor in
-	// a list fails the whole post (as ibv_post_send does).
-	for i := range wrs {
-		if err := qp.validate(&wrs[i]); err != nil {
-			return fmt.Errorf("rtfab %s qp%d: %w", n.name, qp.num, err)
-		}
-	}
-
-	// Injected post failures; channel-semantics sends are exempt so control
-	// traffic keeps the transport's reliable ordering (see internal/ib).
-	if inj := n.fab.injector; inj != nil && wrs[0].Op != verbs.OpSend {
-		if err := inj.PostFault(); err != nil {
-			return fmt.Errorf("rtfab %s qp%d: post: %w", n.name, qp.num, err)
-		}
-	}
 
 	// Doorbell batching: a fault-free all-write list crosses the node
 	// boundary as ONE delivery closure plus ONE ack closure instead of a
@@ -182,35 +68,10 @@ func (qp *QP) post(wrs []verbs.SendWR, list bool) error {
 	// win. Fault runs keep per-descriptor launches so every descriptor gets
 	// its own injected outcome.
 	batch := list && len(wrs) > 1 && n.fab.injector == nil && allWrites(wrs)
-
-	c := n.counters
-	if list {
-		atomic.AddInt64(&c.ListPosts, 1)
-	}
 	for i := range wrs {
-		wr := &wrs[i]
-		atomic.AddInt64(&c.DescriptorsPosted, 1)
-		atomic.AddInt64(&c.SGEsPosted, int64(len(wr.SGL)))
-		if wr.Lane != 0 {
-			atomic.AddInt64(&c.LaneBulkDescs, 1)
-		}
-		switch wr.Op {
-		case verbs.OpSend:
-			atomic.AddInt64(&c.SendsPosted, 1)
-		case verbs.OpRDMAWrite, verbs.OpRDMAWriteImm:
-			atomic.AddInt64(&c.RDMAWritesPosted, 1)
-			if wr.Op == verbs.OpRDMAWriteImm {
-				atomic.AddInt64(&c.ImmediatesSent, 1)
-			}
-		case verbs.OpRDMARead:
-			atomic.AddInt64(&c.RDMAReadsPosted, 1)
-		}
-		if !list {
-			atomic.AddInt64(&c.ListPosts, 1)
-		}
-		n.cpu.Acquire(n.eng.Now(), n.Model().PostTime(i, len(wr.SGL), list))
+		n.cpu.Acquire(n.eng.Now(), n.Model().PostTime(i, len(wrs[i].SGL), list))
 		if !batch {
-			qp.launch(*wr)
+			qp.launch(wrs[i])
 		}
 	}
 	if batch {
@@ -230,55 +91,6 @@ func allWrites(wrs []verbs.SendWR) bool {
 	return true
 }
 
-func (qp *QP) validate(wr *verbs.SendWR) error {
-	n := qp.node
-	switch wr.Op {
-	case verbs.OpSend:
-		if len(wr.SGL) != 0 {
-			return fmt.Errorf("OpSend carries inline payloads only")
-		}
-		return nil
-	case verbs.OpRDMAWrite, verbs.OpRDMAWriteImm:
-		total, err := validateSGL(n, wr.SGL)
-		if err != nil {
-			return err
-		}
-		// Remote access rights are checked at delivery on the responder's
-		// driver; the target range must at least be a plausible address.
-		// (Memory bounds are immutable, so this cross-node read is safe.)
-		if err := qp.peer.node.mem.CheckRange(wr.RemoteAddr, total); err != nil {
-			return err
-		}
-		return nil
-	case verbs.OpRDMARead:
-		if _, err := validateSGL(n, wr.SGL); err != nil {
-			return err
-		}
-		return nil
-	default:
-		return fmt.Errorf("bad opcode %v", wr.Op)
-	}
-}
-
-// validateSGL checks every SGE against the local registration table and
-// returns the total byte length.
-func validateSGL(n *Node, sgl []verbs.SGE) (int64, error) {
-	var total int64
-	for _, s := range sgl {
-		if s.Len < 0 {
-			return 0, fmt.Errorf("rtfab %s: negative SGE length", n.name)
-		}
-		if s.Len == 0 {
-			continue
-		}
-		if err := n.mem.Reg().CheckAccess(s.Key, s.Addr, s.Len); err != nil {
-			return 0, err
-		}
-		total += s.Len
-	}
-	return total, nil
-}
-
 // launch executes one validated descriptor. The payload is gathered on the
 // initiator's driver (its own arena); delivery, registration checks and the
 // landing copy run on the responder's driver; the ack closure returns to the
@@ -291,14 +103,12 @@ func (qp *QP) launch(wr verbs.SendWR) {
 
 	// Injected CQE errors: the descriptor is consumed, no data moves, and
 	// the initiator sees an error completion asynchronously. Channel-
-	// semantics sends are exempt (see post).
+	// semantics sends are exempt (see verbs.QueuePair.Admit).
 	if inj := fab.injector; inj != nil && wr.Op != verbs.OpSend {
 		if ferr := inj.CQEFault(); ferr != nil {
-			err := fmt.Errorf("rtfab %s qp%d: %v failed: %w", n.name, qp.num, wr.Op, ferr)
+			err := qp.Errorf("%v failed: %w", wr.Op, ferr)
 			wrid, op := wr.WRID, wr.Op
-			n.eng.Schedule(0, func() {
-				qp.sendCQ.push(verbs.CQE{QP: qp, WRID: wrid, Op: op, Err: err})
-			})
+			n.eng.Schedule(0, func() { qp.Complete(wrid, op, 0, err) })
 			return
 		}
 	}
@@ -309,37 +119,20 @@ func (qp *QP) launch(wr verbs.SendWR) {
 		size := int64(len(payload))
 		wrid, imm := wr.WRID, wr.Imm
 		fab.exec(peer.node, func() {
-			peer.arrive(arrival{data: payload, bytes: size, imm: imm, hasImm: true})
+			peer.Arrive(payload, size, imm)
 			// Ack after delivery: send completion implies the message reached
 			// the peer, matching the simulator's timing order.
-			fab.exec(n, func() {
-				qp.sendCQ.push(verbs.CQE{QP: qp, WRID: wrid, Op: verbs.OpSend, Bytes: size})
-			})
+			fab.exec(n, func() { qp.Complete(wrid, verbs.OpSend, size, nil) })
 		})
 
 	case verbs.OpRDMAWrite, verbs.OpRDMAWriteImm:
-		// Snapshot the gather list at launch; hardware requires the source
-		// stable until completion and our protocols honor that.
-		var size int64
-		for _, s := range wr.SGL {
-			size += s.Len
-		}
-		payload := make([]byte, 0, size)
-		for _, s := range wr.SGL {
-			if s.Len > 0 {
-				payload = append(payload, n.mem.Bytes(s.Addr, s.Len)...)
-			}
-		}
-		wrcopy := wr
-		fab.exec(peer.node, func() { qp.deliverWrite(wrcopy, payload, size) })
+		payload := verbs.Gather(n.mem, wr.SGL)
+		size := int64(len(payload))
+		fab.exec(peer.node, func() { qp.deliverWrite(wr, payload, size) })
 
 	case verbs.OpRDMARead:
-		var size int64
-		for _, s := range wr.SGL {
-			size += s.Len
-		}
-		wrcopy := wr
-		fab.exec(peer.node, func() { qp.serveRead(wrcopy, size) })
+		size := verbs.SGLBytes(wr.SGL)
+		fab.exec(peer.node, func() { qp.serveRead(wr, size) })
 	}
 }
 
@@ -366,13 +159,10 @@ func (qp *QP) launchWriteBatch(wrs []verbs.SendWR) {
 		acks := make([]verbs.CQE, len(items))
 		for i := range items {
 			wr := &items[i]
-			var size int64
-			for _, s := range wr.SGL {
-				size += s.Len
-			}
+			size := verbs.SGLBytes(wr.SGL)
+			acks[i] = verbs.CQE{WRID: wr.WRID, Op: wr.Op, Bytes: size}
 			if err := peer.node.mem.Reg().CheckAccess(wr.RKey, wr.RemoteAddr, size); err != nil {
-				acks[i] = verbs.CQE{QP: qp, WRID: wr.WRID, Op: wr.Op, Bytes: size,
-					Err: fmt.Errorf("remote access error: %w", err)}
+				acks[i].Err = fmt.Errorf("remote access error: %w", err)
 				continue
 			}
 			dst := peer.node.mem.Bytes(wr.RemoteAddr, size)
@@ -382,13 +172,12 @@ func (qp *QP) launchWriteBatch(wrs []verbs.SendWR) {
 				}
 			}
 			if wr.Op == verbs.OpRDMAWriteImm {
-				peer.arrive(arrival{bytes: size, imm: wr.Imm, hasImm: true})
+				peer.Arrive(nil, size, wr.Imm)
 			}
-			acks[i] = verbs.CQE{QP: qp, WRID: wr.WRID, Op: wr.Op, Bytes: size}
 		}
 		fab.exec(n, func() {
 			for _, e := range acks {
-				qp.sendCQ.push(e)
+				qp.Complete(e.WRID, e.Op, e.Bytes, e.Err)
 			}
 		})
 	})
@@ -402,14 +191,12 @@ func (qp *QP) deliverWrite(wr verbs.SendWR, payload []byte, size int64) {
 	// Responder-side protection check against the responder's table.
 	if err := peer.node.mem.Reg().CheckAccess(wr.RKey, wr.RemoteAddr, size); err != nil {
 		werr := fmt.Errorf("remote access error: %w", err)
-		fab.exec(n, func() {
-			qp.sendCQ.push(verbs.CQE{QP: qp, WRID: wr.WRID, Op: wr.Op, Bytes: size, Err: werr})
-		})
+		fab.exec(n, func() { qp.Complete(wr.WRID, wr.Op, size, werr) })
 		return
 	}
 	copy(peer.node.mem.Bytes(wr.RemoteAddr, size), payload)
 	if wr.Op == verbs.OpRDMAWriteImm {
-		peer.arrive(arrival{bytes: size, imm: wr.Imm, hasImm: true})
+		peer.Arrive(nil, size, wr.Imm)
 	}
 	// Ack to the initiator; injected delays defer the completion on the
 	// initiator's virtual clock without reordering the delivery above.
@@ -417,15 +204,7 @@ func (qp *QP) deliverWrite(wr verbs.SendWR, payload []byte, size int64) {
 	if inj := fab.injector; inj != nil {
 		delay = inj.Delay()
 	}
-	fab.exec(n, func() {
-		if delay > 0 {
-			n.eng.Schedule(delay, func() {
-				qp.sendCQ.push(verbs.CQE{QP: qp, WRID: wr.WRID, Op: wr.Op, Bytes: size})
-			})
-			return
-		}
-		qp.sendCQ.push(verbs.CQE{QP: qp, WRID: wr.WRID, Op: wr.Op, Bytes: size})
-	})
+	fab.exec(n, func() { qp.CompleteAfter(delay, wr.WRID, wr.Op, size) })
 }
 
 // serveRead executes the responder half of an RDMA read (runs on the
@@ -437,9 +216,7 @@ func (qp *QP) serveRead(wr verbs.SendWR, size int64) {
 	peer := qp.peer
 	if err := peer.node.mem.Reg().CheckAccess(wr.RKey, wr.RemoteAddr, size); err != nil {
 		rerr := fmt.Errorf("remote access error: %w", err)
-		fab.exec(n, func() {
-			qp.sendCQ.push(verbs.CQE{QP: qp, WRID: wr.WRID, Op: verbs.OpRDMARead, Bytes: size, Err: rerr})
-		})
+		fab.exec(n, func() { qp.Complete(wr.WRID, verbs.OpRDMARead, size, rerr) })
 		return
 	}
 	data := append([]byte(nil), peer.node.mem.Bytes(wr.RemoteAddr, size)...)
@@ -448,45 +225,7 @@ func (qp *QP) serveRead(wr verbs.SendWR, size int64) {
 		delay = inj.Delay()
 	}
 	fab.exec(n, func() {
-		var off int64
-		for _, s := range wr.SGL {
-			if s.Len <= 0 {
-				continue
-			}
-			copy(n.mem.Bytes(s.Addr, s.Len), data[off:off+s.Len])
-			off += s.Len
-		}
-		if delay > 0 {
-			n.eng.Schedule(delay, func() {
-				qp.sendCQ.push(verbs.CQE{QP: qp, WRID: wr.WRID, Op: verbs.OpRDMARead, Bytes: size})
-			})
-			return
-		}
-		qp.sendCQ.push(verbs.CQE{QP: qp, WRID: wr.WRID, Op: verbs.OpRDMARead, Bytes: size})
-	})
-}
-
-// arrive delivers a channel-semantics payload or an immediate notification,
-// consuming a receive credit or stalling until one is posted. Runs on the
-// owning node's driver.
-func (qp *QP) arrive(a arrival) {
-	if len(qp.recvQ) == 0 {
-		qp.stalled = append(qp.stalled, a)
-		return
-	}
-	qp.completeArrival(a)
-}
-
-func (qp *QP) completeArrival(a arrival) {
-	rwr := qp.recvQ[0]
-	qp.recvQ = qp.recvQ[1:]
-	qp.recvCQ.push(verbs.CQE{
-		QP:     qp,
-		WRID:   rwr.WRID,
-		Op:     verbs.OpRecv,
-		Bytes:  a.bytes,
-		Imm:    a.imm,
-		HasImm: a.hasImm,
-		Data:   a.data,
+		verbs.Scatter(n.mem, wr.SGL, data)
+		qp.CompleteAfter(delay, wr.WRID, verbs.OpRDMARead, size)
 	})
 }

@@ -358,5 +358,4 @@ func (f *Fabric) debugState() string {
 var (
 	_ verbs.HCA = (*Node)(nil)
 	_ verbs.QP  = (*QP)(nil)
-	_ verbs.CQ  = (*CQ)(nil)
 )

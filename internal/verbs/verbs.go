@@ -2,21 +2,27 @@
 // layers program against: work-request and completion types (send/receive
 // channel semantics, RDMA read/write memory semantics with gather/scatter
 // and immediate data), the QP/CQ/HCA interfaces, and the hardware cost
-// model.
+// model. It also holds the mechanics every backend shares: the completion
+// queue (CompletionQueue) and the half of a queue pair that does not depend
+// on how bytes move (QueuePair: receive credits with stalled arrivals, and
+// the post front half of batch limits, validation, fault hook and
+// counters).
 //
-// Two backends implement the contract:
+// Two fabrics implement the contract:
 //
 //   - internal/ib: the deterministic discrete-event simulator. One engine
 //     drives every node; virtual time comes from the calibrated cost model,
-//     and runs are bit-for-bit reproducible.
+//     and runs are bit-for-bit reproducible. It has two transports: the
+//     wire (NIC ports, link latency) and shared memory (ranks partition one
+//     arena, and a transfer is a CPU copy).
 //   - internal/rtfab: the real-time concurrent fabric. Each rank's node is
-//     driven by its own goroutine, queue pairs and completion paths are
-//     bounded channels, and RDMA operations are actual copies into the peer
+//     driven by its own goroutine, cross-node work travels through per-node
+//     FIFO inboxes, and RDMA operations are actual copies into the peer
 //     node's memory arena under the same per-region registration checks.
 //
 // Protocol code (internal/core, internal/mpi) holds only these interface
-// types, so the same scheme implementations run — and are tested — on both
-// substrates.
+// types, so the same scheme implementations run — and are tested — on every
+// substrate.
 package verbs
 
 import (
