@@ -1,13 +1,17 @@
 // dtbench regenerates the paper's evaluation tables and figures on the
-// simulated InfiniBand fabric.
+// simulated InfiniBand fabric, and regenerates or checks the repository's
+// committed benchmark artifacts.
 //
 // Usage:
 //
-//	dtbench                  # run everything
-//	dtbench -fig 8           # one figure (2, 8, 9, 11, 12, 13, 14)
-//	dtbench -headline        # abstract's improvement factors (runs 8, 9, 11)
-//	dtbench -backend rt      # wall-clock backend benchmark -> BENCH_backends.json
-//	dtbench -zoo all         # layout zoo over sim/rt/shm -> BENCH_zoo.json
+//	dtbench                        # run everything
+//	dtbench -fig 8                 # one figure (2, 8, 9, 11, 12, 13, 14)
+//	dtbench -headline              # abstract's improvement factors (runs 8, 9, 11)
+//	dtbench -suite zoo             # regenerate one artifact (BENCH_zoo.json)
+//	dtbench -suite zoo -check      # rerun its pinned backends, compare, write nothing
+//	dtbench -suite backends -trace t.json   # wall-clock ping-pong, traced
+//	dtbench -tune-out TUNE_table.json       # learned tuning table for warm starts
+//	dtbench -tune-in TUNE_table.json        # replay warm, exploration off
 package main
 
 import (
@@ -16,7 +20,6 @@ import (
 	"os"
 
 	"repro/internal/exper"
-	"repro/internal/mpi"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -26,276 +29,55 @@ func main() {
 	headline := flag.Bool("headline", false, "print the headline improvement factors")
 	ablations := flag.Bool("ablations", false, "run this reproduction's extra ablation studies")
 	counters := flag.Bool("counters", false, "print per-scheme operation counters for one transfer")
-	backend := flag.String("backend", "", `wall-clock backend benchmark: "sim", "rt", "shm", "both", or "all"`)
-	benchOut := flag.String("bench-out", "BENCH_backends.json", "output path for the -backend benchmark")
-	benchIters := flag.Int("bench-iters", 50, "ping-pong round trips per (scheme, backend) in -backend")
-	workers := flag.Int("workers", 0, "with -backend: pack/unpack worker count (0 = config default)")
-	batch := flag.Int("batch", 0, "with -backend: doorbell batch for segmented schemes (0 = config default)")
-	parallel := flag.String("parallel", "", `parallel segment-engine sweep: "sim", "rt", or "both" -> BENCH_parallel.json`)
-	parallelOut := flag.String("parallel-out", "BENCH_parallel.json", "output path for the -parallel sweep")
-	parallelGuard := flag.Bool("parallel-guard", false, "regenerate the -parallel sim rows and verify them against -parallel-out")
-	scale := flag.String("scale", "", `world-size scale sweep: "sim", "rt", or "both" -> BENCH_scale.json`)
-	scaleOut := flag.String("scale-out", "BENCH_scale.json", "output path for the -scale sweep")
-	scaleGuard := flag.Bool("scale-guard", false, "regenerate the -scale sim rows and verify them against -scale-out")
-	zoo := flag.String("zoo", "", `layout-zoo sweep: "sim", "rt", "shm", "both", or "all" -> BENCH_zoo.json`)
-	zooOut := flag.String("zoo-out", "BENCH_zoo.json", "output path for the -zoo sweep")
-	zooGuard := flag.Bool("zoo-guard", false, "regenerate the -zoo modeled rows (sim + shm) and verify them against -zoo-out")
-	traceOut := flag.String("trace", "", "with -backend: write Chrome trace-event JSON (chrome://tracing, Perfetto) here and print per-scheme histograms")
-	tunerRun := flag.Bool("tuner", false, "run the adversarial adaptive-tuner sweep -> BENCH_tuner.json")
-	tunerMsgs := flag.Int("tuner-msgs", 160, "messages per mode in the -tuner sweep")
-	tunerOut := flag.String("tuner-out", "BENCH_tuner.json", "output path for the -tuner report")
-	tuneOut := flag.String("tune-out", "", "with -tuner: also write the learned tuning table (JSON) here")
-	tuneIn := flag.String("tune-in", "", "warm-start: replay the workload with this tuning table, exploration off")
-	qosRun := flag.String("qos", "", `service-mode QoS sweep: "sim", "rt", or "both" -> BENCH_qos.json`)
-	qosOut := flag.String("qos-out", "BENCH_qos.json", "output path for the -qos sweep")
-	soak := flag.Bool("soak", false, "deterministic two-phase traffic soak (sim) -> SOAK_traffic.json")
-	soakOut := flag.String("soak-out", "SOAK_traffic.json", "output path for the -soak golden snapshot")
-	soakGuard := flag.Bool("soak-guard", false, "regenerate the traffic soak and verify it against -soak-out byte-for-byte")
-	compile := flag.Bool("compile", false, "datatype-compiler pack sweep (modeled sim rows + host wall-clock rows) -> BENCH_compile.json")
-	compileOut := flag.String("compile-out", "BENCH_compile.json", "output path for the -compile sweep")
-	compileGuard := flag.Bool("compile-guard", false, "regenerate the -compile sim rows and verify them against -compile-out")
+	suite := flag.String("suite", "", "regenerate this benchmark suite's artifact (tune, par, compile, qos, soak, scale, zoo, perf, backends)")
+	check := flag.Bool("check", false, "with -suite: rerun the pinned backends and verify the committed artifact instead of rewriting it")
+	traceOut := flag.String("trace", "", "with -suite backends: write Chrome trace-event JSON (chrome://tracing, Perfetto) here and print per-scheme histograms")
+	tuneOut := flag.String("tune-out", "", "run the adversarial tuner sweep and write the learned tuning table (JSON) here")
+	tuneIn := flag.String("tune-in", "", "warm-start: replay the tuner workload with this tuning table, exploration off")
 	flag.Parse()
 
 	figs := map[int]func() *exper.Result{
 		2: exper.Fig2, 8: exper.Fig8, 9: exper.Fig9, 11: exper.Fig11,
 		12: exper.Fig12, 13: exper.Fig13, 14: exper.Fig14,
 	}
+	fail := func(err error) {
+		fmt.Fprintln(os.Stderr, "dtbench:", err)
+		os.Exit(1)
+	}
 
-	backendList := func(arg string) []string {
-		switch arg {
-		case "sim", "rt", "shm":
-			return []string{arg}
-		case "both":
-			return []string{"sim", "rt"}
-		case "all":
-			return mpi.AllBackends
-		}
-		fmt.Fprintf(os.Stderr, "dtbench: unknown backend %q (want sim, rt, shm, both, or all)\n", arg)
+	if *suite == "" && (*check || *traceOut != "") {
+		fmt.Fprintln(os.Stderr, "dtbench: -check and -trace need -suite")
 		os.Exit(2)
-		return nil
 	}
-
-	if *soakGuard {
-		committed, err := os.ReadFile(*soakOut)
+	if *suite != "" {
+		s, err := exper.LookupSuite(*suite)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
+			os.Exit(2)
 		}
-		if err := exper.SoakGuard(committed); err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
+		if *check {
+			if err := s.Check(s.Artifact, os.Stdout); err != nil {
+				fail(err)
+			}
+			fmt.Printf("%s check: %s passes\n", s.Name, s.Artifact)
+			return
 		}
-		fmt.Printf("soak guard: %s reproduces byte-for-byte\n", *soakOut)
-		return
-	}
-	if *soak {
-		doc, err := exper.SoakRun()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		out, err := exper.SoakJSON(doc)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*soakOut, append(out, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		for _, ph := range doc.Phases {
-			fmt.Printf("phase %-16s pool highs pack=%d unpack=%d regpages=%d\n",
-				ph.Name, ph.PoolPackHigh, ph.PoolUnpackHigh, ph.RegPagesHigh)
-		}
-		fmt.Printf("wrote %s\n", *soakOut)
-		return
-	}
-	if *qosRun != "" {
-		rows, err := exper.QoSSweep(backendList(*qosRun))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		doc, err := exper.QoSJSON(rows)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*qosOut, append(doc, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(exper.QoSTable(rows))
-		fmt.Printf("wrote %s\n", *qosOut)
-		return
-	}
-	if *compileGuard {
-		committed, err := os.ReadFile(*compileOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		if err := exper.CompileGuard(committed); err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("compile guard: sim rows of %s reproduce byte-for-byte\n", *compileOut)
-		return
-	}
-	if *compile {
-		rows, err := exper.CompilerSweep(true)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		doc, err := exper.CompileJSON(rows)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*compileOut, append(doc, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(exper.CompileTable(rows))
-		fmt.Printf("wrote %s\n", *compileOut)
-		return
-	}
-	if *zooGuard {
-		committed, err := os.ReadFile(*zooOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		if err := exper.ZooGuard(committed); err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("zoo guard: modeled rows of %s reproduce byte-for-byte\n", *zooOut)
-		return
-	}
-	if *zoo != "" {
-		rows, err := exper.ZooSweep(backendList(*zoo))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		doc, err := exper.ZooJSON(rows)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*zooOut, append(doc, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(exper.ZooTable(rows))
-		fmt.Printf("wrote %s\n", *zooOut)
-		return
-	}
-	if *scaleGuard {
-		committed, err := os.ReadFile(*scaleOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		if err := exper.ScaleGuard(committed); err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("scale guard: sim rows of %s reproduce byte-for-byte\n", *scaleOut)
-		return
-	}
-	if *scale != "" {
-		rows, err := exper.ScaleSweep(backendList(*scale))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		doc, err := exper.ScaleJSON(rows)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*scaleOut, append(doc, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(exper.ScaleTable(rows))
-		fmt.Printf("wrote %s\n", *scaleOut)
-		return
-	}
-	if *parallelGuard {
-		committed, err := os.ReadFile(*parallelOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		if err := exper.ParallelGuard(committed); err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("parallel guard: sim rows of %s reproduce byte-for-byte\n", *parallelOut)
-		return
-	}
-	if *parallel != "" {
-		rows, err := exper.ParallelSweep(backendList(*parallel))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		doc, err := exper.ParallelJSON(rows)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*parallelOut, append(doc, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(exper.ParallelTable(rows))
-		fmt.Printf("wrote %s\n", *parallelOut)
-		return
-	}
-	if *backend != "" {
-		backends := backendList(*backend)
 		var rec *trace.Recorder
 		var reg *stats.Registry
 		if *traceOut != "" {
-			rec = trace.New()
-			reg = stats.NewRegistry()
-		}
-		var mut func(*mpi.Config)
-		if *workers > 0 || *batch > 0 {
-			mut = func(c *mpi.Config) {
-				if *workers > 0 {
-					c.Core.PackWorkers = *workers
-				}
-				if *batch > 0 {
-					c.Core.PostBatch = *batch
-				}
+			if s.Name != "backends" {
+				fmt.Fprintln(os.Stderr, "dtbench: -trace applies to -suite backends only")
+				os.Exit(2)
 			}
+			rec, reg = trace.New(), stats.NewRegistry()
+			s.Run = func(b []string) ([]byte, string, error) { return exper.RunBackends(b, rec, reg) }
 		}
-		rows, err := exper.BenchBackendsOpts(backends, *benchIters, rec, reg, mut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
+		if err := s.Regenerate(s.Artifact, os.Stdout); err != nil {
+			fail(err)
 		}
-		doc, err := exper.BackendsJSON(rows)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*benchOut, append(doc, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(exper.BackendsTable(rows))
-		fmt.Printf("wrote %s\n", *benchOut)
 		if rec != nil {
 			if err := os.WriteFile(*traceOut, rec.ChromeTrace(), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "dtbench:", err)
-				os.Exit(1)
+				fail(err)
 			}
 			fmt.Printf("wrote %s (%d events; load via chrome://tracing or ui.perfetto.dev)\n",
 				*traceOut, rec.Len())
@@ -307,49 +89,31 @@ func main() {
 	if *tuneIn != "" {
 		table, err := os.ReadFile(*tuneIn)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
+			fail(err)
 		}
-		row, err := exper.TunerWarmRun(table, *tunerMsgs)
+		row, err := exper.TunerWarmRun(table)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		fmt.Printf("warm start from %s: %d messages, mean %.2f us (last quartile %.2f us), %d exploitations, regret %.2f ms\n",
 			*tuneIn, row.Msgs, row.MeanUS, row.LastQMeanUS, row.Exploitations, row.RegretMS)
 		return
 	}
-	if *tunerRun {
-		rep, table, err := exper.TunerSweep(*tunerMsgs)
+	if *tuneOut != "" {
+		_, table, err := exper.TunerSweep(exper.TunerMsgs)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
+			fail(err)
 		}
-		doc, err := exper.TunerJSON(rep)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
+		if err := os.WriteFile(*tuneOut, append(table, '\n'), 0o644); err != nil {
+			fail(err)
 		}
-		if err := os.WriteFile(*tunerOut, append(doc, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(exper.TunerTable(rep))
-		fmt.Printf("wrote %s\n", *tunerOut)
-		if *tuneOut != "" {
-			if err := os.WriteFile(*tuneOut, append(table, '\n'), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "dtbench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s (tuning table; replay with -tune-in)\n", *tuneOut)
-		}
+		fmt.Printf("wrote %s (tuning table; replay with -tune-in)\n", *tuneOut)
 		return
 	}
 	if *counters {
 		rep, err := exper.CountersReport()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		fmt.Print(rep)
 		return

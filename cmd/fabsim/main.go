@@ -6,65 +6,26 @@
 //	go run ./cmd/fabsim                # deterministic simulator (virtual time)
 //	go run ./cmd/fabsim -backend shm   # the simulator's shared-memory transport
 //	go run ./cmd/fabsim -backend rt    # real-time concurrent fabric (wall time)
-//
-// With -fault-soak it instead drives every transfer scheme end to end under
-// seeded fault injection and reports per-scheme delivery results, retry
-// counts, and injector statistics (also available on either backend):
-//
-//	go run ./cmd/fabsim -fault-soak -seed 7 -cqe-rate 0.1 -delay-rate 0.2
-//	go run ./cmd/fabsim -fault-soak -backend rt
-//	go run ./cmd/fabsim -fault-soak -perm-rate 1 -cqe-rate 1   # forced aborts
-//
-// With -qos-soak it runs the deterministic service-mode traffic mix
-// (internal/traffic) with the QoS layer on and reports per-class latency
-// plus the admission/lane counters; -no-qos disables the service layer for
-// an A/B comparison:
-//
-//	go run ./cmd/fabsim -qos-soak
-//	go run ./cmd/fabsim -qos-soak -backend rt
-//	go run ./cmd/fabsim -qos-soak -backend rt -no-qos
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/datatype"
-	"repro/internal/fault"
 	"repro/internal/ib"
 	"repro/internal/mem"
-	"repro/internal/mpi"
-	"repro/internal/pack"
-	"repro/internal/qos"
 	"repro/internal/rtfab"
 	"repro/internal/simtime"
-	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/traffic"
-	"repro/internal/tuner"
 	"repro/internal/verbs"
 )
 
 var (
-	backend   = flag.String("backend", "sim", `fabric backend: "sim" (deterministic), "rt" (real-time concurrent), or "shm" (the simulator's shared-memory intra-node transport)`)
-	faultSoak = flag.Bool("fault-soak", false, "run a fault-injected pass over every transfer scheme")
-	seed      = flag.Int64("seed", 1, "fault injector seed")
-	msgs      = flag.Int("msgs", 4, "messages per scheme in the fault soak")
-	postRate  = flag.Float64("post-rate", 0.05, "probability a descriptor post fails")
-	cqeRate   = flag.Float64("cqe-rate", 0.08, "probability a descriptor completes with an error CQE")
-	regRate   = flag.Float64("reg-rate", 0.05, "probability a memory registration fails")
-	delayRate = flag.Float64("delay-rate", 0.10, "probability a completion is delayed")
-	permRate  = flag.Float64("perm-rate", 0.0, "probability an injected fault is permanent (not retryable)")
-	doTrace   = flag.Bool("trace", false, "record activity traces and print a busy-time summary at the end")
-	traceOut  = flag.String("trace-out", "", "with -trace: also write Chrome trace-event JSON here")
-	tunerSoak = flag.Bool("tuner", false, "with -fault-soak: add an Auto row driven by the adaptive tuner")
-	qosSoak   = flag.Bool("qos-soak", false, "run the service-mode traffic soak and report per-class latency + QoS counters")
-	noQoS     = flag.Bool("no-qos", false, "with -qos-soak: disable the QoS layer (A/B baseline)")
-	soakSeed  = flag.Int64("qos-seed", 1, "with -qos-soak: workload seed")
+	backend  = flag.String("backend", "sim", `fabric backend: "sim" (deterministic), "rt" (real-time concurrent), or "shm" (the simulator's shared-memory intra-node transport)`)
+	doTrace  = flag.Bool("trace", false, "record activity traces and print a busy-time summary at the end")
+	traceOut = flag.String("trace-out", "", "with -trace: also write Chrome trace-event JSON here")
 )
 
 // tracer is non-nil when -trace is set; the measurement helpers attach it to
@@ -79,22 +40,6 @@ func main() {
 	}
 	if *doTrace {
 		tracer = trace.New()
-	}
-	if *faultSoak {
-		ok := runFaultSoak()
-		flushTrace()
-		if !ok {
-			os.Exit(1)
-		}
-		return
-	}
-	if *qosSoak {
-		if err := runQoSSoak(); err != nil {
-			fmt.Fprintln(os.Stderr, "fabsim:", err)
-			os.Exit(1)
-		}
-		flushTrace()
-		return
 	}
 	if *backend == "rt" {
 		runRTSweep()
@@ -153,58 +98,6 @@ func flushTrace() {
 		fmt.Printf("wrote %s (%d events; load via chrome://tracing or ui.perfetto.dev)\n",
 			*traceOut, tracer.Len())
 	}
-}
-
-// runQoSSoak drives the default service-mode traffic mix over an MPI world
-// on the selected backend and prints per-class latency quantiles plus the
-// aggregate counters (including the QoS admission/lane lines).
-func runQoSSoak() error {
-	spec := traffic.DefaultSpec()
-	spec.Seed = *soakSeed
-	cfg := mpi.DefaultConfig()
-	cfg.Ranks = spec.Ranks
-	cfg.Backend = *backend
-	cfg.RTTimeout = 2 * time.Minute
-	if !*noQoS {
-		pol := qos.DefaultPolicy()
-		cfg.Core.QoS = &pol
-	}
-	if tracer != nil {
-		cfg.Trace = tracer
-	}
-	w, err := mpi.NewWorld(cfg)
-	if err != nil {
-		return err
-	}
-	reg := stats.NewRegistry()
-	r := traffic.NewRunner(spec, reg)
-	fmt.Printf("# qos soak: backend=%s qos=%v seed=%d ranks=%d comms=%d flows=%d msgs/flow=%d\n",
-		*backend, !*noQoS, spec.Seed, spec.Ranks, spec.Comms,
-		spec.EagerFlows+spec.BulkFlows, spec.Msgs)
-	start := time.Now()
-	if err := r.Run(w); err != nil {
-		return err
-	}
-	wall := time.Since(start)
-	if ef, bf := r.Failures(); ef != 0 || bf != 0 {
-		return fmt.Errorf("qos soak: %d eager / %d bulk request failures", ef, bf)
-	}
-	fmt.Printf("%8s %8s %12s %12s %12s\n", "class", "msgs", "p50 us", "p99 us", "max us")
-	for _, cl := range []struct {
-		name string
-		hist *stats.Histogram
-	}{
-		{"eager", reg.Histogram(traffic.HistEager)},
-		{"bulk", reg.Histogram(traffic.HistBulk)},
-	} {
-		fmt.Printf("%8s %8d %12.2f %12.2f %12.2f\n", cl.name, cl.hist.Count(),
-			float64(cl.hist.Quantile(0.50))/1e3,
-			float64(cl.hist.Quantile(0.99))/1e3,
-			float64(cl.hist.Quantile(1))/1e3)
-	}
-	ctr := traffic.AggregateCounters(w)
-	fmt.Printf("\nwall time %v\n# aggregate counters\n%s", wall.Round(time.Millisecond), ctr.String())
-	return nil
 }
 
 // runSHMSweep is the raw RDMA sweep on the simulator's shared-memory
@@ -311,189 +204,6 @@ func rtOneOp(model verbs.Model, op verbs.Opcode, size int64, n, iters int) time.
 		panic(err)
 	}
 	return time.Since(start) / time.Duration(iters)
-}
-
-// runFaultSoak drives every scheme through a two-rank fault-injected
-// exchange and reports delivery outcomes on the selected backend. Returns
-// false if any scheme corrupted data or (with perm-rate 0) failed a request.
-func runFaultSoak() bool {
-	fc := fault.Config{
-		Seed:          *seed,
-		PostFailRate:  *postRate,
-		CQEErrorRate:  *cqeRate,
-		RegFailRate:   *regRate,
-		DelayRate:     *delayRate,
-		MaxDelay:      20 * simtime.Microsecond,
-		PermanentRate: *permRate,
-	}
-	fmt.Printf("# fault soak: backend=%s seed=%d post=%.2f cqe=%.2f reg=%.2f delay=%.2f perm=%.2f msgs=%d\n",
-		*backend, *seed, *postRate, *cqeRate, *regRate, *delayRate, *permRate, *msgs)
-	fmt.Printf("%-10s %8s %8s %8s %8s %8s %12s\n",
-		"scheme", "ok", "failed", "corrupt", "retries", "aborts", "end (ms)")
-
-	type soakRow struct {
-		label  string
-		scheme core.Scheme
-		sel    core.SchemeSelector
-	}
-	rows := []soakRow{
-		{"Generic", core.SchemeGeneric, nil},
-		{"BC-SPUP", core.SchemeBCSPUP, nil},
-		{"RWG-UP", core.SchemeRWGUP, nil},
-		{"P-RRS", core.SchemePRRS, nil},
-		{"Multi-W", core.SchemeMultiW, nil},
-	}
-	if *tunerSoak {
-		// Adaptive selection under fire: the same tuner instance is shared
-		// by both endpoints, and fault-inflated latencies feed its arms.
-		tcfg := tuner.DefaultConfig()
-		tcfg.Backend = *backend
-		rows = append(rows, soakRow{"Auto+tuner", core.SchemeAuto, tuner.New(tcfg)})
-	}
-	vec := datatype.Must(datatype.TypeVector(128, 16, 64, datatype.Int32))
-	const count = 160
-	allGood := true
-
-	for _, row := range rows {
-		scheme := row.scheme
-		inj := fault.New(fc)
-		var (
-			eng *simtime.Engine
-			rtf *rtfab.Fabric
-			fab *ib.Fabric
-		)
-		switch *backend {
-		case "rt":
-			rtf = rtfab.New(ib.DefaultModel())
-			rtf.SetInjector(inj)
-		case "shm":
-			eng = simtime.NewEngine()
-			fab = ib.NewSharedFabric(eng, ib.DefaultSharedModel(), 2, 64<<20)
-			fab.SetInjector(inj)
-		default:
-			eng = simtime.NewEngine()
-			fab = ib.NewFabric(eng, ib.DefaultModel())
-			fab.SetInjector(inj)
-		}
-		cfg := core.DefaultConfig()
-		cfg.Scheme = scheme
-		cfg.Selector = row.sel
-		cfg.PoolSize = 4 << 20
-		if tracer != nil {
-			tracer.SetPrefix(*backend + "/" + row.label + "/")
-			switch {
-			case rtf != nil:
-				rtf.SetTracer(tracer)
-				cfg.TraceClock = rtf.WallClock
-			default:
-				fab.SetTracer(tracer)
-			}
-			cfg.Tracer = tracer
-		}
-		eps := make([]*core.Endpoint, 2)
-		hcas := make([]verbs.HCA, 2)
-		for i := range eps {
-			switch {
-			case rtf != nil:
-				hcas[i] = rtf.AddNode(fmt.Sprintf("n%d", i), mem.NewMemory(fmt.Sprintf("n%d", i), 64<<20), nil)
-			case fab.Arena() != nil:
-				hcas[i] = fab.AddHCA(fmt.Sprintf("n%d", i), nil, nil)
-			default:
-				hcas[i] = fab.AddHCA(fmt.Sprintf("n%d", i), mem.NewMemory(fmt.Sprintf("n%d", i), 64<<20), nil)
-			}
-			ep, err := core.NewEndpoint(i, hcas[i], cfg)
-			if err != nil {
-				panic(err)
-			}
-			eps[i] = ep
-		}
-		core.ConnectPeers(eps)
-
-		size := vec.Size() * int64(count)
-		sent := make([][]byte, *msgs)
-		got := make([][]byte, *msgs)
-		var sendErrs, recvErrs int
-		for _, ep := range eps {
-			ep := ep
-			hcas[ep.Rank()].Engine().Spawn(fmt.Sprintf("rank%d", ep.Rank()), func(p *simtime.Process) {
-				for m := 0; m < *msgs; m++ {
-					span := vec.TrueExtent() + int64(count-1)*vec.Extent()
-					a := ep.Mem().MustAlloc(span)
-					buf := mem.Addr(int64(a) - vec.TrueLB())
-					if ep.Rank() == 0 {
-						data := make([]byte, size)
-						for i := range data {
-							data[i] = byte(m+1) ^ byte(i*31+7)
-						}
-						u := pack.NewUnpacker(ep.Mem(), buf, vec, count)
-						u.UnpackFrom(data)
-						sent[m] = data
-						if err := ep.Send(p, buf, count, vec, 1, m); err != nil {
-							sendErrs++
-						}
-					} else {
-						_, err := ep.Recv(p, buf, count, vec, 0, m)
-						if err != nil {
-							recvErrs++
-							continue
-						}
-						out := make([]byte, size)
-						pk := pack.NewPacker(ep.Mem(), buf, vec, count)
-						pk.PackTo(out)
-						got[m] = out
-					}
-				}
-			})
-		}
-		start := time.Now()
-		var runErr error
-		if rtf != nil {
-			runErr = rtf.Run(time.Minute)
-		} else {
-			runErr = eng.Run()
-		}
-		if runErr != nil {
-			fmt.Printf("%-10s engine error: %v\n", row.label, runErr)
-			allGood = false
-			continue
-		}
-		endMS := float64(time.Since(start).Microseconds()) / 1000
-		if eng != nil {
-			endMS = float64(eng.Now().Sub(0).Micros()) / 1000
-		}
-
-		okCount, corrupt := 0, 0
-		for m := 0; m < *msgs; m++ {
-			switch {
-			case got[m] == nil:
-				// failed receive; counted in recvErrs
-			case bytes.Equal(sent[m], got[m]):
-				okCount++
-			default:
-				corrupt++
-			}
-		}
-		var retries, aborts int64
-		for _, ep := range eps {
-			retries += ep.Counters().FaultRetries
-			aborts += ep.Counters().RequestsFailed
-		}
-		fmt.Printf("%-10s %8d %8d %8d %8d %8d %12.2f\n",
-			row.label, okCount, recvErrs, corrupt, retries, aborts, endMS)
-		if corrupt > 0 {
-			allGood = false
-		}
-		if *permRate == 0 && (sendErrs > 0 || recvErrs > 0) {
-			allGood = false
-		}
-	}
-	fmt.Println()
-	if allGood {
-		fmt.Println("fault soak: PASS (all schemes delivered byte-identical data or aborted cleanly)")
-	} else {
-		fmt.Println("fault soak: FAIL")
-	}
-	return allGood
 }
 
 // oneOp measures the virtual completion time of a single RDMA operation of

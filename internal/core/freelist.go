@@ -15,7 +15,7 @@ import (
 // message retires, so a warm endpoint moves messages without allocating.
 // The lists are plain slices, not sync.Pools: a GC cycle must not be able to
 // empty them, or allocs/op would become nondeterministic and the perf gate
-// (cmd/perfgate) could not pin it.
+// (`dtbench -suite perf`) could not pin it.
 //
 // Ownership protocol:
 //

@@ -7,8 +7,8 @@ import (
 
 // PerfProbe drives the descriptor-builder hot path — chunkWRs over a
 // compiled layout and chunkBatches over its output — in isolation, for the
-// perf gate (cmd/perfgate) and the zero-allocation regression tests. It
-// holds the same op-owned state a live transfer would (a wrSet arena, a
+// perf gate (`dtbench -suite perf`) and the zero-allocation regression
+// tests. It holds the same op-owned state a live transfer would (a wrSet arena, a
 // reusable program cursor, a batch-window scratch), so a measured call is
 // exactly one warm rebuild of the descriptor list with no endpoint, fabric,
 // or rendezvous machinery around it. The single local reference synthesizes

@@ -10,7 +10,6 @@ import (
 // the schemes perform — serial pack/unpack, parallel segment collection,
 // WR chunking, OGR block enumeration, scheme-selection layout summaries —
 // goes through a compiled program cached per (type index, version, count).
-// Config.InterpretedPack reverts every helper to the interpreted cursor.
 
 // regFlattenLimit caps the run enumeration a user-buffer registration pays.
 // A message with more maximal runs than this registers its whole covering
@@ -24,12 +23,8 @@ const regFlattenLimit = 1 << 20
 const summaryFlattenLimit = 4096
 
 // programFor returns the cached compiled layout program for (t, count),
-// compiling and caching on first use. It returns nil when the compiled path
-// is disabled by Config.InterpretedPack.
+// compiling and caching on first use.
 func (ep *Endpoint) programFor(t *datatype.Type, count int) *datatype.Program {
-	if ep.cfg.InterpretedPack {
-		return nil
-	}
 	idx := ep.types.commit(t)
 	k := progKey{idx: idx, ver: ep.types.version(idx), count: count}
 	if p := ep.progs.get(k); p != nil {
@@ -40,66 +35,43 @@ func (ep *Endpoint) programFor(t *datatype.Type, count int) *datatype.Program {
 	return p
 }
 
-// walkerFor returns a run walker over (t, count): a compiled program cursor,
-// or the interpreted cursor when compilation is disabled.
+// walkerFor returns a compiled program cursor over (t, count).
 func (ep *Endpoint) walkerFor(t *datatype.Type, count int) datatype.RunWalker {
-	if p := ep.programFor(t, count); p != nil {
-		return p.Cursor()
-	}
-	return datatype.NewCursor(t, count)
+	return ep.programFor(t, count).Cursor()
 }
 
-// newPacker builds a serial packer over a message in this rank's memory,
-// compiled when possible.
+// newPacker builds a compiled serial packer over a message in this rank's
+// memory.
 func (ep *Endpoint) newPacker(base mem.Addr, t *datatype.Type, count int) *pack.Packer {
-	if p := ep.programFor(t, count); p != nil {
-		return pack.NewProgramPacker(ep.memory, base, p)
-	}
-	return pack.NewPacker(ep.memory, base, t, count)
+	return pack.NewProgramPacker(ep.memory, base, ep.programFor(t, count))
 }
 
-// newUnpacker builds a serial unpacker over a message in this rank's memory,
-// compiled when possible.
+// newUnpacker builds a compiled serial unpacker over a message in this
+// rank's memory.
 func (ep *Endpoint) newUnpacker(base mem.Addr, t *datatype.Type, count int) *pack.Unpacker {
-	if p := ep.programFor(t, count); p != nil {
-		return pack.NewProgramUnpacker(ep.memory, base, p)
-	}
-	return pack.NewUnpacker(ep.memory, base, t, count)
+	return pack.NewProgramUnpacker(ep.memory, base, ep.programFor(t, count))
 }
 
-// newParallelPacker builds a parallel packer over a message, compiled when
-// possible, configured from the endpoint's parallel-engine settings.
+// newParallelPacker builds a compiled parallel packer over a message,
+// configured from the endpoint's parallel-engine settings.
 func (ep *Endpoint) newParallelPacker(base mem.Addr, t *datatype.Type, count int) *pack.ParallelPacker {
-	if p := ep.programFor(t, count); p != nil {
-		return pack.NewParallelProgramPacker(ep.memory, base, p, ep.cfg.par())
-	}
-	return pack.NewParallelPacker(ep.memory, base, t, count, ep.cfg.par())
+	return pack.NewParallelProgramPacker(ep.memory, base, ep.programFor(t, count), ep.cfg.par())
 }
 
-// newParallelUnpacker builds a parallel unpacker over a message, compiled
-// when possible, configured from the endpoint's parallel-engine settings.
+// newParallelUnpacker builds a compiled parallel unpacker over a message,
+// configured from the endpoint's parallel-engine settings.
 func (ep *Endpoint) newParallelUnpacker(base mem.Addr, t *datatype.Type, count int) *pack.ParallelUnpacker {
-	if p := ep.programFor(t, count); p != nil {
-		return pack.NewParallelProgramUnpacker(ep.memory, base, p, ep.cfg.par())
-	}
-	return pack.NewParallelUnpacker(ep.memory, base, t, count, ep.cfg.par())
+	return pack.NewParallelProgramUnpacker(ep.memory, base, ep.programFor(t, count), ep.cfg.par())
 }
 
 // messageBlocks enumerates the contiguous blocks of a message for
-// registration, from the compiled program when available. The second result
-// reports whether the program already guarantees non-decreasing address
-// order (the sort in GroupRegions can be skipped). A message with more than
+// registration, from the compiled program. The second result reports
+// whether the program already guarantees non-decreasing address order (the
+// sort in GroupRegions can be skipped). A message with more than
 // regFlattenLimit runs degrades explicitly to its single covering span.
 func (ep *Endpoint) messageBlocks(buf mem.Addr, t *datatype.Type, count int) ([]mem.Block, bool) {
-	var blocks []mem.Block
-	var trunc bool
-	sorted := false
-	if p := ep.programFor(t, count); p != nil {
-		blocks, trunc = pack.ProgramBlocks(buf, p, regFlattenLimit)
-		sorted = p.Ascending() && !trunc
-	} else {
-		blocks, trunc = pack.MessageBlocks(buf, t, count, regFlattenLimit)
-	}
+	p := ep.programFor(t, count)
+	blocks, trunc := pack.ProgramBlocks(buf, p, regFlattenLimit)
 	if trunc {
 		// Truncated flatten: never hand an incomplete block set to OGR.
 		// Cover the whole true span of the message in one region instead.
@@ -107,7 +79,7 @@ func (ep *Endpoint) messageBlocks(buf mem.Addr, t *datatype.Type, count int) ([]
 		lo := int64(buf) + t.TrueLB()
 		return []mem.Block{{Addr: mem.Addr(lo), Len: span}}, false
 	}
-	return blocks, sorted
+	return blocks, p.Ascending()
 }
 
 // layoutSummary returns the maximal-run count and average run length of a
@@ -116,7 +88,7 @@ func (ep *Endpoint) messageBlocks(buf mem.Addr, t *datatype.Type, count int) ([]
 // walk, explicitly extrapolated when truncated rather than silently passed
 // off as the full layout.
 func (ep *Endpoint) layoutSummary(t *datatype.Type, count int) (runs int64, avg int64) {
-	if p := ep.programFor(t, count); p != nil && p.Kind() != datatype.ProgGeneric {
+	if p := ep.programFor(t, count); p.Kind() != datatype.ProgGeneric {
 		runs = p.Runs()
 		if runs > 0 {
 			avg = int64(float64(p.Bytes()) / float64(runs))

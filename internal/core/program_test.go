@@ -52,22 +52,6 @@ func TestProgramCacheVersionInvalidation(t *testing.T) {
 	}
 }
 
-// TestProgramForInterpreted checks the escape hatch: with InterpretedPack
-// set, programFor yields nil and walkerFor falls back to the cursor.
-func TestProgramForInterpreted(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.InterpretedPack = true
-	w := newTestWorld(t, 1, cfg, 48<<20)
-	ep := w.eps[0]
-	v := datatype.Must(datatype.TypeVector(16, 2, 8, datatype.Int32))
-	if p := ep.programFor(v, 1); p != nil {
-		t.Fatalf("InterpretedPack still compiled: %s", p)
-	}
-	if _, ok := ep.walkerFor(v, 1).(*datatype.Cursor); !ok {
-		t.Fatal("walkerFor did not fall back to the interpreted cursor")
-	}
-}
-
 // TestLayoutSummaryPaths checks both summary paths: canonical programs
 // answer exactly; generic shapes get an explicitly extrapolated sample that
 // matches the true run count for a self-similar layout.

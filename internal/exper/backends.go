@@ -28,30 +28,18 @@ type BackendRow struct {
 	VirtualUS float64 `json:"virtual_us"` // virtual one-way latency (sim/shm, 0 on rt)
 }
 
+// benchIters is the ping-pong round trips per (scheme, backend) row.
+const benchIters = 50
+
 // BenchBackends runs the wall-clock ping-pong for every transfer scheme on
 // each requested backend ("sim", "rt", "shm"). The workload is the paper's
 // 64-column vector (32 KB payload, above the eager threshold, so the full
-// rendezvous machinery runs).
-func BenchBackends(backends []string, iters int) ([]BackendRow, error) {
-	return BenchBackendsTraced(backends, iters, nil, nil)
-}
-
-// BenchBackendsTraced is BenchBackends with observability attached: every
-// run records per-message spans into rec (namespaced
-// "backend/scheme/rankN" so sequential runs do not collide in the exported
-// trace) and per-scheme latency/bandwidth histograms into reg. Either may
-// be nil.
-func BenchBackendsTraced(backends []string, iters int, rec *trace.Recorder, reg *stats.Registry) ([]BackendRow, error) {
-	return BenchBackendsOpts(backends, iters, rec, reg, nil)
-}
-
-// BenchBackendsOpts is BenchBackendsTraced with a configuration hook: mut
-// (may be nil) edits each world's configuration before it is built —
-// dtbench uses it to thread -workers and -batch through the benchmark.
-func BenchBackendsOpts(backends []string, iters int, rec *trace.Recorder, reg *stats.Registry, mut func(*mpi.Config)) ([]BackendRow, error) {
-	if iters <= 0 {
-		iters = 50
-	}
+// rendezvous machinery runs). Every run records per-message spans into rec
+// (namespaced "backend/scheme/rankN" so sequential runs do not collide in
+// the exported trace) and per-scheme latency/bandwidth histograms into reg;
+// either may be nil.
+func BenchBackends(backends []string, rec *trace.Recorder, reg *stats.Registry) ([]BackendRow, error) {
+	iters := benchIters
 	const cols = 64
 	dt := VectorType(cols)
 	bytes := VectorBytes(cols)
@@ -68,9 +56,6 @@ func BenchBackendsOpts(backends []string, iters int, rec *trace.Recorder, reg *s
 				c.RTTimeout = 2 * time.Minute
 				c.Trace = rec
 				c.Metrics = reg
-				if mut != nil {
-					mut(c)
-				}
 			})
 			w, err := mpi.NewWorld(cfg)
 			if err != nil {

@@ -249,20 +249,10 @@ func CompileJSON(rows []CompileRow) ([]byte, error) {
 		Benchmark: "datatype-compiler",
 		Workload:  "pack throughput, compiled program replay vs interpreted cursor walk vs raw copy() upper bound, one shape per program kind",
 		Note:      "sim_rows are deterministic modeled costs (guarded by `make compile-guard`); host_rows are wall-clock and machine-dependent",
-		SimRows:   filterCompile(rows, "sim"),
-		HostRows:  filterCompile(rows, "host"),
+		SimRows:   rowsWhere(rows, func(r CompileRow) bool { return r.Family == "sim" }),
+		HostRows:  rowsWhere(rows, func(r CompileRow) bool { return r.Family == "host" }),
 	}
 	return json.MarshalIndent(doc, "", "  ")
-}
-
-func filterCompile(rows []CompileRow, family string) []CompileRow {
-	out := []CompileRow{}
-	for _, r := range rows {
-		if r.Family == family {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // CompileTable renders the rows as an aligned text table.
@@ -286,33 +276,4 @@ func CompileTable(rows []CompileRow) string {
 			cell(r.VirtualUS, "%.2f"), cell(r.HostNsOp, "%.0f"), cell(mbps, "%.1f"), r.AllocsOp)
 	}
 	return b.String()
-}
-
-// CompileGuard regenerates the sweep's sim rows and compares them
-// byte-for-byte against the sim_rows of a committed BENCH_compile.json —
-// the compiler analogue of par-guard/tune-guard.
-func CompileGuard(committed []byte) error {
-	var doc struct {
-		SimRows json.RawMessage `json:"sim_rows"`
-	}
-	if err := json.Unmarshal(committed, &doc); err != nil {
-		return fmt.Errorf("compile guard: bad committed document: %w", err)
-	}
-	rows, err := CompilerSweep(false)
-	if err != nil {
-		return err
-	}
-	fresh, err := json.Marshal(filterCompile(rows, "sim"))
-	if err != nil {
-		return err
-	}
-	var want bytes.Buffer
-	if err := json.Compact(&want, doc.SimRows); err != nil {
-		return fmt.Errorf("compile guard: bad sim_rows: %w", err)
-	}
-	if !bytes.Equal(fresh, want.Bytes()) {
-		return fmt.Errorf("compile guard: sim rows drifted from committed BENCH_compile.json\ncommitted: %s\nfresh:     %s",
-			want.Bytes(), fresh)
-	}
-	return nil
 }

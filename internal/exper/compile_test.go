@@ -77,27 +77,3 @@ func TestCompilerSweepOrdering(t *testing.T) {
 		t.Errorf("irregular-big compiled row kind = %q, want generic", cp.Kind)
 	}
 }
-
-// TestCompileGuardCatchesDrift makes sure the guard actually fails when the
-// committed document does not match the model.
-func TestCompileGuardCatchesDrift(t *testing.T) {
-	rows, err := CompilerSweep(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := CompileJSON(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CompileGuard(doc); err != nil {
-		t.Fatalf("guard rejected a freshly generated document: %v", err)
-	}
-	rows[0].VirtualUS += 1
-	bad, err := CompileJSON(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CompileGuard(bad); err == nil {
-		t.Fatal("guard accepted a drifted document")
-	}
-}

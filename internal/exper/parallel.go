@@ -1,7 +1,6 @@
 package exper
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -18,7 +17,7 @@ import (
 //
 // Sim rows carry virtual time only: they are bit-for-bit deterministic (the
 // sim executor runs shards sequentially while the cost model prices the
-// fan-out), so `dtbench -parallel-guard` can demand a byte-identical
+// fan-out), so `make par-guard` can demand a byte-identical
 // regeneration. RT rows carry wall time: they measure the real concurrent
 // implementation on the host and are machine-dependent, so the guard
 // ignores them.
@@ -151,20 +150,10 @@ func ParallelJSON(rows []ParallelRow) ([]byte, error) {
 		Workload: fmt.Sprintf("BC-SPUP vector(128 x %d of 4096, MPI_INT), %d KB payload, %d KB segments, batch = workers",
 			parCols, VectorBytes(parCols)>>10, parSegSize>>10),
 		Note:    "sim_rows are deterministic (guarded by `make par-guard`); rt_rows are wall-clock and machine-dependent",
-		SimRows: filterParallel(rows, mpi.BackendSim),
-		RTRows:  filterParallel(rows, mpi.BackendRT),
+		SimRows: rowsWhere(rows, func(r ParallelRow) bool { return r.Backend == mpi.BackendSim }),
+		RTRows:  rowsWhere(rows, func(r ParallelRow) bool { return r.Backend == mpi.BackendRT }),
 	}
 	return json.MarshalIndent(doc, "", "  ")
-}
-
-func filterParallel(rows []ParallelRow, backend string) []ParallelRow {
-	out := []ParallelRow{}
-	for _, r := range rows {
-		if r.Backend == backend {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // ParallelTable renders the rows as an aligned text table.
@@ -185,34 +174,4 @@ func ParallelTable(rows []ParallelRow) string {
 			cell(r.VirtualUS, "%.2f"), cell(r.VirtualMBps, "%.1f"))
 	}
 	return b.String()
-}
-
-// ParallelGuard regenerates the sweep's sim rows and compares them
-// byte-for-byte against the sim_rows of a committed BENCH_parallel.json.
-// A mismatch means the parallel engine's virtual timing drifted (or the
-// file is stale) — the parallel analogue of the tuner's tune-guard.
-func ParallelGuard(committed []byte) error {
-	var doc struct {
-		SimRows json.RawMessage `json:"sim_rows"`
-	}
-	if err := json.Unmarshal(committed, &doc); err != nil {
-		return fmt.Errorf("parallel guard: bad committed document: %w", err)
-	}
-	rows, err := ParallelSweep([]string{mpi.BackendSim})
-	if err != nil {
-		return err
-	}
-	fresh, err := json.Marshal(filterParallel(rows, mpi.BackendSim))
-	if err != nil {
-		return err
-	}
-	var want bytes.Buffer
-	if err := json.Compact(&want, doc.SimRows); err != nil {
-		return fmt.Errorf("parallel guard: bad sim_rows: %w", err)
-	}
-	if !bytes.Equal(fresh, want.Bytes()) {
-		return fmt.Errorf("parallel guard: sim rows drifted from committed BENCH_parallel.json\ncommitted: %s\nfresh:     %s",
-			want.Bytes(), fresh)
-	}
-	return nil
 }

@@ -1,7 +1,6 @@
 package exper
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -24,9 +23,9 @@ import (
 // byte window in flight, so eager p99 collapses.
 //
 // rt rows are the measurement that matters (the contention is a wall-clock
-// artifact of concurrent delivery); sim rows are included for completeness
-// and are deterministic. The soak golden (SOAK_traffic.json, `make
-// soak-guard`) is the sim-side regression net for this subsystem.
+// artifact of concurrent delivery); sim rows are deterministic and pinned
+// by `make qos-guard`. The soak golden (SOAK_traffic.json, `make
+// soak-guard`) is the other sim-side regression net for this subsystem.
 const (
 	qosRanks      = 4
 	qosBulkBytes  = 512 << 10 // per bulk message; 64 B runs -> ~8k descriptors
@@ -163,22 +162,12 @@ func QoSJSON(rows []QoSRow) ([]byte, error) {
 		Workload: fmt.Sprintf("%d ranks; 2 closed-loop Multi-W bulk streams (%d x %d KB, 64 B runs) + 1 eager stream (%d x %d B), all into rank 0",
 			qosRanks, qosBulkMsgs, qosBulkBytes>>10, qosEagerMsgs, qosEagerBytes),
 		Note: "rt rows are wall-clock and machine-dependent; the target is eager p99 at least 2x better " +
-			"with lanes+windows on. sim rows are deterministic but unguarded (the soak golden covers sim).",
+			"with lanes+windows on. sim_rows are deterministic (guarded by `make qos-guard`).",
 		Improvement: EagerP99Improvement(rows, mpi.BackendRT),
-		SimRows:     filterQoS(rows, mpi.BackendSim),
-		RTRows:      filterQoS(rows, mpi.BackendRT),
+		SimRows:     rowsWhere(rows, func(r QoSRow) bool { return r.Backend == mpi.BackendSim }),
+		RTRows:      rowsWhere(rows, func(r QoSRow) bool { return r.Backend == mpi.BackendRT }),
 	}
 	return json.MarshalIndent(doc, "", "  ")
-}
-
-func filterQoS(rows []QoSRow, backend string) []QoSRow {
-	out := []QoSRow{}
-	for _, r := range rows {
-		if r.Backend == backend {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // QoSTable renders the rows as an aligned text table.
@@ -294,32 +283,4 @@ func SoakRun() (*SoakDoc, error) {
 	doc.EagerLat = traffic.DumpHistogram(reg.Histogram(traffic.HistEager))
 	doc.BulkLat = traffic.DumpHistogram(reg.Histogram(traffic.HistBulk))
 	return doc, nil
-}
-
-// SoakJSON renders the soak document.
-func SoakJSON(doc *SoakDoc) ([]byte, error) {
-	return json.MarshalIndent(doc, "", "  ")
-}
-
-// SoakGuard regenerates the soak and compares it byte-for-byte against the
-// committed SOAK_traffic.json. Every field is sim-deterministic, so unlike
-// the other guards the whole document is compared, not just sim rows.
-func SoakGuard(committed []byte) error {
-	doc, err := SoakRun()
-	if err != nil {
-		return err
-	}
-	fresh, err := json.Marshal(doc)
-	if err != nil {
-		return err
-	}
-	var want bytes.Buffer
-	if err := json.Compact(&want, committed); err != nil {
-		return fmt.Errorf("soak guard: bad committed document: %w", err)
-	}
-	if !bytes.Equal(fresh, want.Bytes()) {
-		return fmt.Errorf("soak guard: SOAK_traffic.json drifted from a fresh run\ncommitted: %s\nfresh:     %s",
-			want.Bytes(), fresh)
-	}
-	return nil
 }

@@ -1,7 +1,6 @@
 package exper
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"runtime"
@@ -417,20 +416,10 @@ func ScaleJSON(rows []ScaleRow) ([]byte, error) {
 			scaleAlltoallCount, scaleHaloTile, scaleHaloSteps, scaleEagerBlock*4),
 		Note:    "sim_rows are deterministic (guarded by `make scale-guard`); rt_rows are wall-clock and machine-dependent; winners summarize the alltoall leg",
 		Winners: ScaleWinners(rows),
-		SimRows: filterScale(rows, mpi.BackendSim),
-		RTRows:  filterScale(rows, mpi.BackendRT),
+		SimRows: rowsWhere(rows, func(r ScaleRow) bool { return r.Backend == mpi.BackendSim }),
+		RTRows:  rowsWhere(rows, func(r ScaleRow) bool { return r.Backend == mpi.BackendRT }),
 	}
 	return json.MarshalIndent(doc, "", "  ")
-}
-
-func filterScale(rows []ScaleRow, backend string) []ScaleRow {
-	out := []ScaleRow{}
-	for _, r := range rows {
-		if r.Backend == backend {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // ScaleTable renders the rows as an aligned text table.
@@ -453,33 +442,4 @@ func ScaleTable(rows []ScaleRow) string {
 		fmt.Fprintf(&b, "# winner %4d ranks / %-7s: %s (%.3f ms)\n", w.Ranks, w.Layout, w.Scheme, w.VirtualMS)
 	}
 	return b.String()
-}
-
-// ScaleGuard regenerates the sweep's sim rows and compares them
-// byte-for-byte against the sim_rows of a committed BENCH_scale.json,
-// matching the tune-guard/par-guard/soak-guard discipline.
-func ScaleGuard(committed []byte) error {
-	var doc struct {
-		SimRows json.RawMessage `json:"sim_rows"`
-	}
-	if err := json.Unmarshal(committed, &doc); err != nil {
-		return fmt.Errorf("scale guard: bad committed document: %w", err)
-	}
-	rows, err := ScaleSweep([]string{mpi.BackendSim})
-	if err != nil {
-		return err
-	}
-	fresh, err := json.Marshal(filterScale(rows, mpi.BackendSim))
-	if err != nil {
-		return err
-	}
-	var want bytes.Buffer
-	if err := json.Compact(&want, doc.SimRows); err != nil {
-		return fmt.Errorf("scale guard: bad sim_rows: %w", err)
-	}
-	if !bytes.Equal(fresh, want.Bytes()) {
-		return fmt.Errorf("scale guard: sim rows drifted from committed BENCH_scale.json\ncommitted: %s\nfresh:     %s",
-			want.Bytes(), fresh)
-	}
-	return nil
 }

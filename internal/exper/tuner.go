@@ -24,7 +24,11 @@ import (
 //
 // All timings are virtual (sim backend), so the sweep is deterministic and
 // BENCH_tuner.json regenerates byte-identically — which is what lets the
-// Makefile guard diff it in CI fashion.
+// tune suite pin the whole document.
+
+// TunerMsgs is the message count per mode of the committed sweep and of the
+// warm-start replay.
+const TunerMsgs = 160
 
 // tunerWorkloadType is a 16 KB vector of 256 runs x 64 bytes: runs long
 // enough to clear the mis-tuned gather threshold, numerous enough to make
@@ -135,9 +139,6 @@ type TunerReport struct {
 // exported table with exploration off. It returns the report and the
 // exported tuning table (for dtbench -tune-out).
 func TunerSweep(msgs int) (*TunerReport, []byte, error) {
-	if msgs <= 0 {
-		msgs = 160
-	}
 	dt := tunerWorkloadType()
 	rep := &TunerReport{
 		Benchmark: "adaptive-tuner-adversarial",
@@ -232,10 +233,8 @@ func TunerSweep(msgs int) (*TunerReport, []byte, error) {
 // TunerWarmRun replays the adversarial workload with a tuner warm-started
 // from an exported table (exploration off) — the dtbench -tune-in path. It
 // returns the warm row so callers can compare against a calibration report.
-func TunerWarmRun(table []byte, msgs int) (*TunerRow, error) {
-	if msgs <= 0 {
-		msgs = 160
-	}
+func TunerWarmRun(table []byte) (*TunerRow, error) {
+	msgs := TunerMsgs
 	cfg := tuner.DefaultConfig()
 	cfg.Explore = false
 	cfg.Backend = mpi.BackendSim

@@ -1,7 +1,6 @@
 package exper
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"runtime"
@@ -317,27 +316,6 @@ func ZooFlips(rows []ZooRow) []ZooFlip {
 	return flips
 }
 
-// zooModeled filters the deterministic virtual-time rows (sim and shm).
-func zooModeled(rows []ZooRow) []ZooRow {
-	out := []ZooRow{}
-	for _, r := range rows {
-		if r.Backend != mpi.BackendRT {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-func zooRT(rows []ZooRow) []ZooRow {
-	out := []ZooRow{}
-	for _, r := range rows {
-		if r.Backend == mpi.BackendRT {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // ZooJSON renders the rows as the BENCH_zoo.json document, with the
 // deterministic modeled rows (sim + shm) separated from the
 // machine-dependent rt rows.
@@ -357,8 +335,8 @@ func ZooJSON(rows []ZooRow) ([]byte, error) {
 		Winners:   ZooWinners(rows),
 		Flips:     ZooFlips(rows),
 
-		ModeledRows: zooModeled(rows),
-		RTRows:      zooRT(rows),
+		ModeledRows: rowsWhere(rows, func(r ZooRow) bool { return r.Backend != mpi.BackendRT }),
+		RTRows:      rowsWhere(rows, func(r ZooRow) bool { return r.Backend == mpi.BackendRT }),
 	}
 	return json.MarshalIndent(doc, "", "  ")
 }
@@ -395,33 +373,4 @@ func ZooTable(rows []ZooRow) string {
 		fmt.Fprintf(&b, "# flip   %-16s: sim=%s shm=%s rt=%s\n", f.Layout, f.Sim, f.SHM, f.RT)
 	}
 	return b.String()
-}
-
-// ZooGuard regenerates the sweep's modeled rows (sim + shm) and compares
-// them byte-for-byte against the modeled_rows of a committed
-// BENCH_zoo.json, matching the scale-guard/tune-guard discipline.
-func ZooGuard(committed []byte) error {
-	var doc struct {
-		ModeledRows json.RawMessage `json:"modeled_rows"`
-	}
-	if err := json.Unmarshal(committed, &doc); err != nil {
-		return fmt.Errorf("zoo guard: bad committed document: %w", err)
-	}
-	rows, err := ZooSweep([]string{mpi.BackendSim, mpi.BackendSHM})
-	if err != nil {
-		return err
-	}
-	fresh, err := json.Marshal(zooModeled(rows))
-	if err != nil {
-		return err
-	}
-	var want bytes.Buffer
-	if err := json.Compact(&want, doc.ModeledRows); err != nil {
-		return fmt.Errorf("zoo guard: bad modeled_rows: %w", err)
-	}
-	if !bytes.Equal(fresh, want.Bytes()) {
-		return fmt.Errorf("zoo guard: modeled rows drifted from committed BENCH_zoo.json\ncommitted: %s\nfresh:     %s",
-			want.Bytes(), fresh)
-	}
-	return nil
 }

@@ -36,21 +36,14 @@ func (p *Proc) Pack(buf mem.Addr, count int, dt *datatype.Type, out []byte, pos 
 }
 
 // newPacker builds the explicit-pack engine, replaying a compiled layout
-// program unless the endpoint opted back into the interpreted walk. The
-// program is compiled per call — MPI_Pack is a user-level convenience, not
-// the transfer hot path.
+// program. The program is compiled per call — MPI_Pack is a user-level
+// convenience, not the transfer hot path.
 func (p *Proc) newPacker(buf mem.Addr, count int, dt *datatype.Type) *pack.Packer {
-	if p.Endpoint().Config().InterpretedPack {
-		return pack.NewPacker(p.Mem(), buf, dt, count)
-	}
 	return pack.NewProgramPacker(p.Mem(), buf, datatype.Compile(dt, count))
 }
 
 // newUnpacker is newPacker's unpack counterpart.
 func (p *Proc) newUnpacker(buf mem.Addr, count int, dt *datatype.Type) *pack.Unpacker {
-	if p.Endpoint().Config().InterpretedPack {
-		return pack.NewUnpacker(p.Mem(), buf, dt, count)
-	}
 	return pack.NewProgramUnpacker(p.Mem(), buf, datatype.Compile(dt, count))
 }
 

@@ -1,7 +1,8 @@
 // Package perfgate is the repository's performance floor: a pinned
 // micro-suite over the warm communication hot path (descriptor building,
 // pack/unpack, scheme round-trips, tuner decisions) whose results are
-// committed as BENCH_perf.json and compared on every `make check`.
+// committed as BENCH_perf.json and compared on every `make check` (the
+// perf suite: `dtbench -suite perf [-check]`).
 //
 // The comparison is benchstat-flavored but deliberately asymmetric in what
 // it treats as signal:
@@ -92,10 +93,16 @@ func Load(path string) (Report, error) {
 	return r, nil
 }
 
+// JSON renders the report as the committed document, rows sorted.
+func (r Report) JSON() ([]byte, error) {
+	r.Rows = append([]Row(nil), r.Rows...)
+	r.sortRows()
+	return json.MarshalIndent(r, "", "  ")
+}
+
 // Save writes the report to path, sorted, with a trailing newline.
 func (r Report) Save(path string) error {
-	r.sortRows()
-	b, err := json.MarshalIndent(r, "", "  ")
+	b, err := r.JSON()
 	if err != nil {
 		return err
 	}
@@ -136,7 +143,7 @@ func Compare(base, cur Report) []Problem {
 		c, ok := curBy[b.Name]
 		if !ok {
 			out = append(out, Problem{Row: b.Name, Fatal: true,
-				Msg: "row missing from current run (suite shrank; run perfgate -update deliberately)"})
+				Msg: "row missing from current run (suite shrank; regenerate with dtbench -suite perf deliberately)"})
 			continue
 		}
 		if b.ZeroAlloc {
@@ -167,7 +174,7 @@ func Compare(base, cur Report) []Problem {
 	for _, c := range cur.Rows {
 		if _, ok := baseBy[c.Name]; !ok {
 			out = append(out, Problem{Row: c.Name, Fatal: false,
-				Msg: "new row not in baseline; run perfgate -update to pin it"})
+				Msg: "new row not in baseline; regenerate with dtbench -suite perf to pin it"})
 		}
 	}
 	return out

@@ -131,7 +131,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 // The committed baseline must stay in sync with the suite's row set: every
 // baseline comparison assumes names match. This does not run the full suite
-// (worlds are exercised by cmd/perfgate); it pins the static half.
+// (worlds are exercised by the perf suite); it pins the static half.
 func TestWallRowMeasuresZeroAllocClosure(t *testing.T) {
 	n := 0
 	r := wallRow("probe", true, func() { n++ })
